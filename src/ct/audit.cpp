@@ -208,10 +208,11 @@ AuditResult audit_kem_roundtrip(std::string_view backend,
   kem::SaberKemScheme scheme(params, backend);
   const auto ref_kp = scheme.keygen_deterministic(seed_a, seed_s, z);
   const auto ref_enc = scheme.encaps_deterministic(ref_kp.pk, m_raw);
-  const auto ref_key = scheme.decaps(ref_enc.ct, ref_kp.sk);
+  const auto ref_prep = scheme.prepare_sk(ref_kp.sk);
+  const auto ref_key = scheme.decaps(ref_enc.ct, ref_kp.sk, ref_prep);
   auto tampered_ct = ref_enc.ct;
   tampered_ct[0] ^= 0x01;
-  const auto ref_rejected = scheme.decaps(tampered_ct, ref_kp.sk);
+  const auto ref_rejected = scheme.decaps(tampered_ct, ref_kp.sk, ref_prep);
 
   // Tainted run over the identical flow kernels.
   const auto mul = make_tainted_mul(backend);
@@ -232,16 +233,9 @@ AuditResult audit_kem_roundtrip(std::string_view backend,
     auto vp = ring::inner_product(promote_vec(b), sp, mul, kem::SaberParams::ep);
     return std::pair{std::move(bp), std::move(vp)};
   };
-  auto inner = [&](const ring::PolyVec& bp, const ring::SecretVecOf<TS>& s,
-                   unsigned qbits) {
-    return ring::inner_product(promote_vec(bp), s, mul, qbits);
-  };
   auto encrypt = [&](const kem::MessageT<TB>& m, const kem::SeedT<TB>& r,
                      std::span<const u8> pk) {
     return kem::flows::encrypt_flow(m, std::span<const TB>(r), pk, params, products);
-  };
-  auto decrypt = [&](std::span<const u8> c, std::span<const TB> pke_sk) {
-    return kem::flows::decrypt_flow(c, pke_sk, params, inner);
   };
 
   // KeyGen; the packed pk is declassified at publication.
@@ -261,15 +255,26 @@ AuditResult audit_kem_roundtrip(std::string_view backend,
   const auto ct_pub =
       declassify_bytes(std::span<const TB>(enc.ct), "encaps-ct-publish");
 
+  // Decaps as production's prepared path runs it (SaberKemScheme::prepare_sk):
+  // s is unpacked from the tainted secret key ahead of the flow, and
+  // decryption is the shared message-recovery core over that pre-unpacked s.
+  const auto sk = std::span<const TB>(kp.sk);
+  auto decaps = [&](std::span<const u8> c) {
+    auto s = kem::flows::unpack_secret_g(sk.first(params.pke_sk_bytes()), params);
+    kem::flows::SecretVecGuardT<TS> guard_s{s};
+    auto decrypt = [&](std::span<const u8> c2, std::span<const TB> /*pke_sk*/) {
+      return kem::flows::decrypt_flow<TB>(c2, params, [&](const ring::PolyVec& bp) {
+        return ring::inner_product(promote_vec(bp), s, mul, kem::SaberParams::ep);
+      });
+    };
+    return kem::flows::decaps_flow(c, sk, params, decrypt, encrypt);
+  };
+
   // Decaps of the honest ciphertext and of a tampered one: the second run
   // drives the implicit-rejection select with fail = 0xff and must be exactly
   // as silent as the first (the FO mask never escapes).
-  const auto key = kem::flows::decaps_flow(std::span<const u8>(ct_pub),
-                                           std::span<const TB>(kp.sk), params,
-                                           decrypt, encrypt);
-  const auto rejected = kem::flows::decaps_flow(std::span<const u8>(tampered_ct),
-                                                std::span<const TB>(kp.sk), params,
-                                                decrypt, encrypt);
+  const auto key = decaps(std::span<const u8>(ct_pub));
+  const auto rejected = decaps(std::span<const u8>(tampered_ct));
 
   res.violations = Analysis::instance().violations();
   res.declassifications = Analysis::instance().declassifications();

@@ -1,5 +1,9 @@
 #include "saber/batch.hpp"
 
+#include <exception>
+#include <optional>
+#include <type_traits>
+
 #include "common/check.hpp"
 #include "common/zeroize.hpp"
 #include "mult/strategy.hpp"
@@ -104,28 +108,46 @@ std::vector<Outcome<kem::KemKeyPair>> KemBatch::keygen_many(
       });
 }
 
+template <typename T, typename PrepareFn, typename Fn>
+std::vector<Outcome<T>> KemBatch::run_keyed(std::size_t n, PrepareFn&& prepare,
+                                            Fn&& item_fn) {
+  using Prep = std::invoke_result_t<PrepareFn&, const kem::SaberKemScheme&>;
+  // The prepared key is plain data, shared read-only by all workers (every
+  // worker's multiplier has the same configuration). Under a supervised
+  // multiplier the preparation is lazy: only the active backend's image is
+  // materialized here, and a worker routed to a failover backend mid-batch
+  // re-prepares its own private image from the raw polynomials the
+  // transform retains — the shared key itself is never invalidated.
+  std::optional<Prep> prep;
+  std::exception_ptr key_error;
+  try {
+    prep.emplace(prepare(*schemes_[0]));
+  } catch (...) {
+    key_error = std::current_exception();
+  }
+  return run_items<T>(n, [&](unsigned worker, std::size_t i, T& out) {
+    if (!prep) std::rethrow_exception(key_error);
+    item_fn(scheme(worker), *prep, i, out);
+  });
+}
+
 std::vector<Outcome<kem::EncapsResult>> KemBatch::encaps_many(
     std::span<const u8> pk, std::span<const kem::Message> messages) {
-  // Per-key work once per batch: expand A from its seed and forward-transform
-  // A and b. The prepared transforms are plain data, shared read-only by all
-  // workers (every worker's multiplier has the same configuration). Under a
-  // supervised multiplier this preparation is lazy: only the active backend's
-  // image is materialized here, and a worker routed to a failover backend
-  // mid-batch re-prepares its own private image from the raw polynomials the
-  // transform retains — the shared `prep` itself is never invalidated.
-  const kem::PreparedPublicKey prep = schemes_[0]->pke().prepare_pk(pk);
-  return run_items<kem::EncapsResult>(
-      messages.size(), [&](unsigned worker, std::size_t i, kem::EncapsResult& out) {
-        out = scheme(worker).encaps_deterministic(pk, prep, messages[i]);
+  return run_keyed<kem::EncapsResult>(
+      messages.size(),
+      [&](const kem::SaberKemScheme& s) { return s.pke().prepare_pk(pk); },
+      [&](const kem::SaberKemScheme& s, const kem::PreparedPublicKey& prep,
+          std::size_t i, kem::EncapsResult& out) {
+        out = s.encaps_deterministic(pk, prep, messages[i]);
       });
 }
 
 std::vector<Outcome<kem::SharedSecret>> KemBatch::decaps_many(
     std::span<const u8> sk, std::span<const std::vector<u8>> cts) {
-  return run_items<kem::SharedSecret>(
-      cts.size(), [&](unsigned worker, std::size_t i, kem::SharedSecret& out) {
-        out = scheme(worker).decaps(cts[i], sk);
-      });
+  return run_keyed<kem::SharedSecret>(
+      cts.size(), [&](const kem::SaberKemScheme& s) { return s.prepare_sk(sk); },
+      [&](const kem::SaberKemScheme& s, const kem::PreparedSecretKey& prep,
+          std::size_t i, kem::SharedSecret& out) { out = s.decaps(cts[i], sk, prep); });
 }
 
 }  // namespace saber::batch

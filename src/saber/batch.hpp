@@ -4,15 +4,24 @@
 // time: it drains queues of independent keygen / encaps / decaps requests.
 // KemBatch models that workload. Each worker thread owns a private
 // SaberKemScheme (and therefore a private multiplier instance, so the
-// mutable op counters never race), and per-key work — SHAKE-expanding A and
-// forward-transforming A and b — is done once per batch and shared read-only
-// across workers via the split-transform cache (mult/batch.hpp).
+// mutable op counters never race). Per-key work is done once per call on
+// worker 0 and shared read-only across workers via the split-transform cache
+// (mult/batch.hpp) — the software analogue of the paper's HS-I trick of
+// computing shared work once and broadcasting it:
+//
+//   * encaps_many prepares the public key (SaberPke::prepare_pk): A expanded
+//     through SHAKE, A and b forward-transformed;
+//   * decaps_many prepares the secret key (SaberKemScheme::prepare_sk): s
+//     forward-transformed, plus the same public-key preparation of the pk
+//     embedded in the secret key, which the FO re-encryption runs against.
 //
 // Failure isolation: every operation returns a per-item Outcome instead of a
 // bare value. A poisoned request (malformed ciphertext, unrecoverable
 // computational fault) fails only its own slot — the exception is captured
 // by ThreadPool::run_capture, recorded as ItemStatus::kFailed, and every
-// other item completes normally. When the workers run fault-checking
+// other item completes normally. A key that cannot be prepared (a malformed
+// length) never throws out of the call either: every item fails alone with
+// the preparation's diagnostic. When the workers run fault-checking
 // multipliers (robust::CheckedMultiplier, injected via the factory
 // constructor), items whose faults were detected and repaired by
 // retry/failover are reported as ItemStatus::kRecovered — the value is
@@ -92,7 +101,9 @@ class KemBatch {
   std::vector<Outcome<kem::EncapsResult>> encaps_many(
       std::span<const u8> pk, std::span<const kem::Message> messages);
 
-  /// Decapsulate cts[i] under one KEM secret key.
+  /// Decapsulate cts[i] under one KEM secret key; the secret transforms and
+  /// the FO re-encryption's A-expansion and operand transforms are amortized
+  /// over the whole batch.
   std::vector<Outcome<kem::SharedSecret>> decaps_many(
       std::span<const u8> sk, std::span<const std::vector<u8>> cts);
 
@@ -103,6 +114,12 @@ class KemBatch {
   /// classifying fault-recovered items via the workers' FaultMonitors.
   template <typename T, typename Fn>
   std::vector<Outcome<T>> run_items(std::size_t n, Fn&& item_fn);
+
+  /// run_items over one key: `prepare(scheme)` builds the shared per-key
+  /// state once on worker 0, then item_fn(scheme, prep, i, out) runs per
+  /// item. A preparation that throws fails every item with its error.
+  template <typename T, typename PrepareFn, typename Fn>
+  std::vector<Outcome<T>> run_keyed(std::size_t n, PrepareFn&& prepare, Fn&& item_fn);
 
   kem::SaberParams params_;
   std::vector<std::unique_ptr<kem::SaberKemScheme>> schemes_;  ///< one per worker

@@ -218,14 +218,15 @@ std::vector<B> encrypt_flow(const MessageT<B>& m, std::span<const B> seed_sp,
   return encrypt_seal_g(m, std::move(bp), vp, params);
 }
 
-/// Saber.PKE.Dec. `inner(bp, s, qbits)` returns <b', s> mod p.
+/// Saber.PKE.Dec message recovery. `inner(bp)` returns <b', s> mod p for the
+/// caller's secret s, so the flow never sees how s is held: unpacked per call
+/// (unpack_secret_g, SaberPke::decrypt over sk bytes) or transformed once per
+/// key and shared across calls (SaberPke::decrypt over a prepared secret).
+/// Both paths, and the ct audit, run this one body.
 template <typename B, typename Inner>
-MessageT<B> decrypt_flow(std::span<const u8> ct, std::span<const B> sk,
-                         const SaberParams& params, Inner&& inner) {
+MessageT<B> decrypt_flow(std::span<const u8> ct, const SaberParams& params,
+                         Inner&& inner) {
   SABER_REQUIRE(ct.size() == params.ct_bytes(), "bad ciphertext length");
-  auto s = unpack_secret_g(sk, params);
-  SecretVecGuardT<ct::rebind_t<B, i8>> guard_s{s};
-
   ring::PolyVec bp(params.l);
   for (std::size_t i = 0; i < params.l; ++i) {
     bp[i] = ring::unpack_poly<ring::kN>(
@@ -237,7 +238,7 @@ MessageT<B> decrypt_flow(std::span<const u8> ct, std::span<const B> sk,
       params.et);
 
   // m' = (v + h2 - 2^(ep-et) cm  mod p) >> (ep - 1), with v = b'^T s mod p.
-  const auto v = inner(bp, s, SaberParams::ep);
+  const auto v = inner(std::as_const(bp));
   ring::PolyT<ring::kN, ct::rebind_t<B, u16>> mp;
   for (std::size_t i = 0; i < ring::kN; ++i) {
     const auto val = ct::cast<u32>(v[i]) + params.h2() +

@@ -1,6 +1,7 @@
 #include "saber/kem.hpp"
 
 #include "common/check.hpp"
+#include "common/zeroize.hpp"
 #include "saber/flows.hpp"
 
 namespace saber::kem {
@@ -65,15 +66,52 @@ EncapsResult SaberKemScheme::encaps(std::span<const u8> pk, RandomSource& rng) c
   return encaps_deterministic(pk, m_raw);
 }
 
-SharedSecret SaberKemScheme::decaps(std::span<const u8> ct, std::span<const u8> sk) const {
+PreparedSecretKey& PreparedSecretKey::operator=(PreparedSecretKey&& other) noexcept {
+  if (this != &other) {
+    wipe();
+    s_ = std::move(other.s_);
+    pk_ = std::move(other.pk_);
+  }
+  return *this;
+}
+
+void PreparedSecretKey::wipe() noexcept {
+  for (auto& t : s_) secure_zeroize(std::span<i64>(t));
+}
+
+PreparedSecretKey SaberKemScheme::prepare_sk(std::span<const u8> sk) const {
+  const auto& p = params();
+  SABER_REQUIRE(sk.size() == p.kem_sk_bytes(), "bad KEM secret key length");
+  const mult::PolyMultiplier* algo = pke_.multiplier();
+  SABER_REQUIRE(algo != nullptr, "prepare_sk requires an owned multiplier (fast path)");
+  // The embedded public key first: once the secret transforms exist, nothing
+  // may throw before they are owned by the wiping PreparedSecretKey.
+  auto pk = pke_.prepare_pk(sk.subspan(p.pke_sk_bytes(), p.pk_bytes()));
+  auto s = pke_.unpack_secret(sk.first(p.pke_sk_bytes()));
+  flows::SecretVecGuardT<i8> guard_s{s};
+  return PreparedSecretKey(mult::prepare_secrets(s, *algo, SaberParams::eq),
+                           std::move(pk));
+}
+
+SharedSecret SaberKemScheme::decaps_with(std::span<const u8> ct, std::span<const u8> sk,
+                                         const PreparedSecretKey* prep) const {
   return flows::decaps_flow(
       ct, sk, params(),
-      [this](std::span<const u8> c, std::span<const u8> pke_sk) {
-        return pke_.decrypt(c, pke_sk);
+      [&](std::span<const u8> c, std::span<const u8> pke_sk) {
+        return prep ? pke_.decrypt(c, prep->s()) : pke_.decrypt(c, pke_sk);
       },
-      [this](const Message& m, const Seed& r, std::span<const u8> pk) {
-        return pke_.encrypt(m, r, pk);
+      [&](const Message& m, const Seed& r, std::span<const u8> pk) {
+        return prep ? pke_.encrypt(m, r, prep->pk()) : pke_.encrypt(m, r, pk);
       });
+}
+
+SharedSecret SaberKemScheme::decaps(std::span<const u8> ct, std::span<const u8> sk) const {
+  return decaps_with(ct, sk, nullptr);
+}
+
+SharedSecret SaberKemScheme::decaps(std::span<const u8> ct, std::span<const u8> sk,
+                                    const PreparedSecretKey& prep) const {
+  return decaps_with(ct, sk, &prep);
 }
 
 }  // namespace saber::kem

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <array>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "saber/pke.hpp"
@@ -20,6 +22,39 @@ struct KemKeyPair {
 struct EncapsResult {
   std::vector<u8> ct;
   SharedSecret key;
+};
+
+/// A KEM secret key with the per-key work of decapsulation done once: the
+/// secret s forward-transformed (prepare_secret does not depend on the
+/// modulus, so the same images serve the mod-p decryption product) and the
+/// public key embedded in the blob prepared for the FO re-encryption. The
+/// mirror of PreparedPublicKey: read-only once built, so any number of
+/// threads may decapsulate against one instance concurrently, on any
+/// SaberKemScheme over the same parameters and multiplier configuration.
+///
+/// The transforms of s are secret-derived (under a supervised multiplier they
+/// also retain the raw secret coefficients), so they are wiped on
+/// destruction and the type is move-only.
+class PreparedSecretKey {
+ public:
+  PreparedSecretKey(std::vector<mult::Transformed> s, PreparedPublicKey pk) noexcept
+      : s_(std::move(s)), pk_(std::move(pk)) {}
+  ~PreparedSecretKey() { wipe(); }
+
+  PreparedSecretKey(PreparedSecretKey&&) noexcept = default;
+  PreparedSecretKey& operator=(PreparedSecretKey&& other) noexcept;
+  PreparedSecretKey(const PreparedSecretKey&) = delete;
+  PreparedSecretKey& operator=(const PreparedSecretKey&) = delete;
+
+  std::span<const mult::Transformed> s() const { return s_; }
+  const PreparedPublicKey& pk() const { return pk_; }
+
+  /// Zeroize every transform of s in place (the destructor's wipe).
+  void wipe() noexcept;
+
+ private:
+  std::vector<mult::Transformed> s_;
+  PreparedPublicKey pk_;
 };
 
 class SaberKemScheme {
@@ -61,9 +96,20 @@ class SaberKemScheme {
   /// tampered ciphertext the key is derived from the secret z instead.
   SharedSecret decaps(std::span<const u8> ct, std::span<const u8> sk) const;
 
+  /// One-time per-key preparation for batched decapsulation (fast path only).
+  PreparedSecretKey prepare_sk(std::span<const u8> sk) const;
+
+  /// Decapsulation against a prepared secret key (fast path). `sk` must be
+  /// the exact byte string the preparation came from: the pk hash and the
+  /// rejection secret z are still read from it.
+  SharedSecret decaps(std::span<const u8> ct, std::span<const u8> sk,
+                      const PreparedSecretKey& prep) const;
+
  private:
   EncapsResult encaps_with(std::span<const u8> pk, const PreparedPublicKey* prep,
                            const Message& m_raw) const;
+  SharedSecret decaps_with(std::span<const u8> ct, std::span<const u8> sk,
+                           const PreparedSecretKey* prep) const;
 
   SaberPke pke_;
 };

@@ -118,11 +118,19 @@ std::vector<u8> SaberPke::encrypt(const Message& m, const Seed& seed_sp,
 }
 
 Message SaberPke::decrypt(std::span<const u8> ct, std::span<const u8> sk) const {
-  return flows::decrypt_flow(
-      ct, sk, params_,
-      [this](const ring::PolyVec& bp, const ring::SecretVec& s, unsigned qbits) {
-        return inner(bp, s, qbits);
-      });
+  auto s = unpack_secret(sk);
+  flows::SecretVecGuardT<i8> guard_s{s};
+  return flows::decrypt_flow<u8>(
+      ct, params_, [&](const ring::PolyVec& bp) { return inner(bp, s, kEp); });
+}
+
+Message SaberPke::decrypt(std::span<const u8> ct,
+                          std::span<const mult::Transformed> ts) const {
+  SABER_REQUIRE(static_cast<bool>(algo_),
+                "prepared decryption requires an owned multiplier (fast path)");
+  return flows::decrypt_flow<u8>(ct, params_, [&](const ring::PolyVec& bp) {
+    return mult::inner_product(bp, ts, *algo_, kEp);
+  });
 }
 
 }  // namespace saber::kem

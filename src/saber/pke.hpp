@@ -8,7 +8,8 @@
 //    path: matrix products run through the transform-cached batch backend
 //    (mult/batch.hpp), and public keys can be pre-transformed with
 //    prepare_pk() to amortize A-expansion and forward transforms across many
-//    encryptions;
+//    encryptions (and a secret key's transforms shared across many
+//    decryptions, see kem::PreparedSecretKey);
 //  * a raw `ring::PolyMulFn` — the generic path used by the cycle-accurate
 //    hardware models, which multiply one product at a time by design.
 #pragma once
@@ -82,6 +83,11 @@ class SaberPke {
 
   /// Decrypt.
   Message decrypt(std::span<const u8> ct, std::span<const u8> sk) const;
+
+  /// Decrypt with the secret already transformed (mult::prepare_secrets over
+  /// the unpacked sk, any modulus; fast path only). Bit-identical to the
+  /// overload above.
+  Message decrypt(std::span<const u8> ct, std::span<const mult::Transformed> ts) const;
 
   // --- encoding helpers (exposed for tests and the hardware-backed KEM) ---
   std::vector<u8> pack_secret(const ring::SecretVec& s) const;

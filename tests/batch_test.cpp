@@ -1,5 +1,5 @@
 // Tests for the transform-cached batch backend (mult/batch.hpp), the
-// split-transform PolyMultiplier API, the prepared-public-key fast path in
+// split-transform PolyMultiplier API, the prepared-key fast paths in
 // SaberPke/SaberKemScheme, and the multithreaded KEM pipeline (saber/batch).
 //
 // The load-bearing property throughout: the batched/cached paths are
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/rng.hpp"
 #include "mult/batch.hpp"
@@ -309,6 +310,149 @@ TEST(KemBatch, EndToEndRoundTrip) {
   EXPECT_NE(rejected[0].value, enc[0].value.key);
   EXPECT_EQ(rejected[1].value, enc[1].value.key);
 }
+
+TEST(KemBatch, MalformedSecretKeyFailsEveryItemAlone) {
+  // The secret key is prepared once per call, but a bad one must still fail
+  // item by item with the preparation's diagnostic, never throw out of the
+  // call.
+  batch::KemBatch b(kem::kSaber, "ntt", 3);
+  const auto keys = b.keygen_many(keygen_requests(1));
+  const auto enc = b.encaps_many(keys[0].value.pk, message_batch(4));
+  std::vector<std::vector<u8>> cts;
+  for (const auto& e : enc) cts.push_back(e.value.ct);
+  auto sk = keys[0].value.sk;
+  sk.pop_back();
+
+  std::vector<batch::Outcome<kem::SharedSecret>> got;
+  ASSERT_NO_THROW(got = b.decaps_many(sk, cts));
+  ASSERT_EQ(got.size(), cts.size());
+  for (const auto& o : got) {
+    EXPECT_EQ(o.status, batch::ItemStatus::kFailed);
+    EXPECT_NE(o.error.find("bad KEM secret key length"), std::string::npos) << o.error;
+    EXPECT_TRUE(std::ranges::all_of(o.value, [](u8 v) { return v == 0; }));
+  }
+}
+
+TEST(KemBatch, MalformedPublicKeyFailsEveryItemAlone) {
+  batch::KemBatch b(kem::kSaber, "ntt", 3);
+  const auto keys = b.keygen_many(keygen_requests(1));
+  auto pk = keys[0].value.pk;
+  pk.resize(pk.size() / 2);
+
+  std::vector<batch::Outcome<kem::EncapsResult>> got;
+  ASSERT_NO_THROW(got = b.encaps_many(pk, message_batch(4)));
+  ASSERT_EQ(got.size(), 4u);
+  for (const auto& o : got) {
+    EXPECT_EQ(o.status, batch::ItemStatus::kFailed);
+    EXPECT_NE(o.error.find("bad public key length"), std::string::npos) << o.error;
+    EXPECT_TRUE(o.value.ct.empty());
+  }
+}
+
+// --- prepared secret key --------------------------------------------------
+
+static_assert(std::is_nothrow_move_constructible_v<kem::PreparedSecretKey>);
+static_assert(std::is_nothrow_move_assignable_v<kem::PreparedSecretKey>);
+static_assert(!std::is_copy_constructible_v<kem::PreparedSecretKey>);
+static_assert(!std::is_copy_assignable_v<kem::PreparedSecretKey>);
+
+std::size_t nonzero_words(const kem::PreparedSecretKey& prep) {
+  std::size_t n = 0;
+  for (const auto& t : prep.s()) {
+    n += static_cast<std::size_t>(std::ranges::count_if(t, [](i64 w) { return w != 0; }));
+  }
+  return n;
+}
+
+TEST(PreparedSecretKey, WipeLeavesNoNonZeroWord) {
+  for (const auto name : {"ntt", "schoolbook"}) {
+    kem::SaberKemScheme scheme(kem::kSaber, name);
+    const auto reqs = keygen_requests(1);
+    const auto keys = scheme.keygen_deterministic(reqs[0].seed_a, reqs[0].seed_s,
+                                                  reqs[0].z);
+    auto prep = scheme.prepare_sk(keys.sk);
+    ASSERT_EQ(prep.s().size(), kem::kSaber.l) << name;
+    EXPECT_GT(nonzero_words(prep), 0u) << name;
+    prep.wipe();
+    EXPECT_EQ(nonzero_words(prep), 0u) << name;
+  }
+}
+
+TEST(PreparedSecretKey, MovedKeyStillDecapsulates) {
+  kem::SaberKemScheme scheme(kem::kLightSaber, "ntt");
+  Xoshiro256StarStar rng(912);
+  const auto keys = scheme.keygen(rng);
+  const auto enc = scheme.encaps(keys.pk, rng);
+  auto first = scheme.prepare_sk(keys.sk);
+  kem::PreparedSecretKey moved(std::move(first));
+  EXPECT_EQ(scheme.decaps(enc.ct, keys.sk, moved), enc.key);
+  auto other = scheme.prepare_sk(scheme.keygen(rng).sk);
+  other = std::move(moved);
+  EXPECT_EQ(scheme.decaps(enc.ct, keys.sk, other), enc.key);
+}
+
+// (kAllParams index, strategy): decaps_many over the shared prepared key must
+// equal per-item SaberKemScheme::decaps, for honest and tampered ciphertexts
+// and any thread count; the prepared decaps overload must equal the plain one.
+class DecapsManyDifferential
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::string_view>> {};
+
+TEST_P(DecapsManyDifferential, MatchesPerItemDecaps) {
+  const auto& params = kem::kAllParams[std::get<0>(GetParam())];
+  const auto name = std::get<1>(GetParam());
+  kem::SaberKemScheme scheme(params, name);
+  Xoshiro256StarStar rng(911);
+  const auto keys = scheme.keygen(rng);
+  std::vector<kem::EncapsResult> enc;
+  std::vector<std::vector<u8>> cts;
+  for (int i = 0; i < 4; ++i) {
+    enc.push_back(scheme.encaps(keys.pk, rng));
+    cts.push_back(enc.back().ct);
+  }
+  cts[1][0] ^= 0x01;       // tampered b' part
+  cts[3].back() ^= 0x80;   // tampered compressed message part
+
+  const auto prep = scheme.prepare_sk(keys.sk);
+  std::vector<kem::SharedSecret> expect;
+  for (const auto& ct : cts) {
+    expect.push_back(scheme.decaps(ct, keys.sk));
+    EXPECT_EQ(scheme.decaps(ct, keys.sk, prep), expect.back());
+  }
+  EXPECT_EQ(expect[0], enc[0].key);
+  EXPECT_NE(expect[1], enc[1].key);  // implicit rejection
+  EXPECT_EQ(expect[2], enc[2].key);
+  EXPECT_NE(expect[3], enc[3].key);
+
+  for (const unsigned threads : {1u, 2u, 3u, 5u}) {
+    batch::KemBatch b(params, name, threads);
+    const auto got = b.decaps_many(keys.sk, cts);
+    ASSERT_EQ(got.size(), cts.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].status, batch::ItemStatus::kOk) << "threads=" << threads;
+      EXPECT_EQ(got[i].value, expect[i]) << "threads=" << threads << " i=" << i;
+    }
+  }
+}
+
+std::vector<std::tuple<std::size_t, std::string_view>> decaps_cases() {
+  std::vector<std::tuple<std::size_t, std::string_view>> cases;
+  for (std::size_t p = 0; p < std::size(kem::kAllParams); ++p) {
+    for (const std::string_view name : {"ntt", "toom4", "karatsuba-8", "schoolbook"}) {
+      cases.emplace_back(p, name);
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllParamsAndStrategies, DecapsManyDifferential,
+                         ::testing::ValuesIn(decaps_cases()),
+                         [](const auto& param_info) {
+                           std::string n(std::get<1>(param_info.param));
+                           std::ranges::replace(n, '-', '_');
+                           return std::string(
+                                      kem::kAllParams[std::get<0>(param_info.param)].name) +
+                                  "_" + n;
+                         });
 
 }  // namespace
 }  // namespace saber

@@ -87,7 +87,7 @@ TEST(AuditTrace, DeclassificationSitesAreExactlyThePinnedSequence) {
 
   // Expected trace: one pk publication, one ct publication, then per decaps
   // run (honest + tampered) the embedded pk and pk-hash lifts plus the l
-  // secret-bound checks from unpack_secret inside decrypt.
+  // secret-bound checks from unpacking s ahead of the flow.
   EXPECT_EQ(std::count(sites.begin(), sites.end(), "keygen-pk-publish"), 1);
   EXPECT_EQ(std::count(sites.begin(), sites.end(), "encaps-ct-publish"), 1);
   EXPECT_EQ(std::count(sites.begin(), sites.end(), "decaps-embedded-pk"), 2);

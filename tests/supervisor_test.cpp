@@ -343,5 +343,78 @@ TEST(BackendSupervisor, KemBatchSurvivesStuckBackendThenReadmitsIt) {
   EXPECT_EQ(st[0].state, BreakerState::kClosed);
 }
 
+TEST(BackendSupervisor, DecapsManyFailoverLazilyRepreparesSharedSecretKey) {
+  // decaps_many prepares the secret key once, on the backend healthy at call
+  // time. A quarantine mid-call must leave the shared key untouched: workers
+  // routed to the failover backend re-prepare their own images from the raw
+  // polynomials it retains, and every item stays bit-identical.
+  std::vector<batch::KeygenRequest> reqs(1);
+  Xoshiro256StarStar rng(21);
+  rng.fill(reqs[0].seed_a);
+  rng.fill(reqs[0].seed_s);
+  rng.fill(reqs[0].z);
+  std::vector<kem::Message> msgs(4);
+  for (auto& msg : msgs) rng.fill(msg);
+
+  batch::KemBatch clean(kem::kSaber, "toom4", 2);
+  const auto keys = clean.keygen_many(reqs);
+  const auto enc = clean.encaps_many(keys[0].value.pk, msgs);
+  std::vector<std::vector<u8>> cts;
+  for (const auto& e : enc) cts.push_back(e.value.ct);
+  cts[3][0] ^= 0x01;  // one tampered ciphertext: implicit rejection
+  const auto expect = clean.decaps_many(keys[0].value.sk, cts);
+
+  Rig rig({/*quarantine_after=*/1, /*probe_after=*/1000, 1, {}});
+  batch::KemBatch b(
+      kem::kSaber, [&rig] { return rig.sup.make_worker_multiplier(); }, 2);
+  rig.inj->arm(FaultSpec::permanent_flip(FaultSite::kProduct, 4, 21));
+  const auto got = b.decaps_many(keys[0].value.sk, cts);
+  ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].ok()) << i;
+    EXPECT_EQ(got[i].value, expect[i].value) << i;
+  }
+  auto st = rig.sup.status();
+  ASSERT_EQ(st[0].state, BreakerState::kOpen);
+  EXPECT_GT(st[1].lazy_prepares, 0u);  // backend-0 images re-prepared on demand
+
+  // The next call prepares the key on the healthy backend directly: no item
+  // needs a lazy re-preparation any more.
+  const u64 lazy_before = st[1].lazy_prepares;
+  const auto again = b.decaps_many(keys[0].value.sk, cts);
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    EXPECT_TRUE(again[i].ok()) << i;
+    EXPECT_EQ(again[i].value, expect[i].value) << i;
+  }
+  st = rig.sup.status();
+  EXPECT_EQ(st[0].state, BreakerState::kOpen);
+  EXPECT_EQ(st[1].lazy_prepares, lazy_before);
+}
+
+TEST(BackendSupervisor, PreparedSecretKeyWipeClearsRetainedRawSecret) {
+  // A supervised secret transform carries the raw secret coefficients beside
+  // the backend image; wipe() must zero those too.
+  BackendSupervisor sup({"ntt", "schoolbook"});
+  kem::SaberKemScheme scheme(kem::kSaber, sup.make_worker_multiplier());
+  kem::Seed seed_a{}, seed_s{};
+  kem::SharedSecret z{};
+  seed_a.fill(0x11);
+  seed_s.fill(0x22);
+  z.fill(0x33);
+  const auto keys = scheme.keygen_deterministic(seed_a, seed_s, z);
+  auto prep = scheme.prepare_sk(keys.sk);
+  auto nonzero = [&] {
+    std::size_t n = 0;
+    for (const auto& t : prep.s()) {
+      n += static_cast<std::size_t>(std::ranges::count_if(t, [](i64 w) { return w != 0; }));
+    }
+    return n;
+  };
+  ASSERT_EQ(prep.s().size(), kem::kSaber.l);
+  EXPECT_GT(nonzero(), 0u);
+  prep.wipe();
+  EXPECT_EQ(nonzero(), 0u);
+}
+
 }  // namespace
 }  // namespace saber::robust
