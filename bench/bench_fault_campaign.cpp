@@ -9,20 +9,20 @@
 //
 // Five experiments:
 //   1. transient campaign - seeded single-bit transient product faults through
-//      CheckedMultiplier(kFull): detection must be 100%, retry recovery ~100%.
+//      CheckedMultiplier: detection must be 100%, retry recovery ~100%.
 //   2. stuck-at campaign   - permanently stuck product bits: detection 100%,
 //      recovery via failover to the reference backend.
 //   3. architecture campaign - seeded transient and stuck-at faults at the
 //      real datapath sites (BRAM read/write ports, MAC adder, shift-and-add
 //      small multiplier, DSP output) of the HS-I / HS-II / LW cycle-accurate
 //      cores, repaired by CheckedHwMultiplier: zero silent corruptions, ever.
-//   4. checking overhead   - cost of the verification policies and check
-//      kinds (schoolbook re-derivation vs point-evaluation vs Freivalds), at
-//      the multiplier level and for full KEM decapsulations.
+//   4. checking overhead   - cost of the one check (Freivalds, schoolbook
+//      arbiter on mismatch) against the raw production backend (ntt) and
+//      against toom4, at the multiplier level and for full KEM
+//      decapsulations.
 //   5. supervised prepare cost - lazy copy-on-quarantine transform caching:
 //      preparing a 3x3 public matrix through the supervised facade must cost
-//      ~1x a single checked backend (time and memory), not the sum over the
-//      failover chain the old eager design paid.
+//      ~1x a single checked backend (time and memory).
 //
 // `--smoke` shrinks every trial/iteration count so the whole campaign runs in
 // seconds under sanitizers (the run_all.sh asan-ubsan smoke).
@@ -256,29 +256,32 @@ std::vector<double> interleaved_ns_per_call(
 struct OverheadRow {
   std::string config;
   double ns = 0.0;
-  double ratio = 1.0;  ///< vs the unchecked backend
+  double ratio = 1.0;  ///< vs the same backend unchecked
 };
 
-std::vector<OverheadRow> multiplier_overhead(int iters) {
-  const struct {
-    const char* label;
-    CheckedConfig config;
-  } policies[] = {
-      {"off", {CheckPolicy::kOff, 8}},
-      {"sampled-8", {CheckPolicy::kSampled, 8}},
-      {"full", {CheckPolicy::kFull, 8}},
-      {"full/point-eval", {CheckPolicy::kFull, 8, CheckKind::kPointEval}},
-      {"full/freivalds", {CheckPolicy::kFull, 8, CheckKind::kFreivalds}},
-  };
+/// Backends the check is priced against: the production backend first, then
+/// the backend the campaigns above run on.
+constexpr const char* kPricedBackends[] = {"ntt", kBackend};
 
+/// Rows for interleaved timings where config 2k is a raw backend and config
+/// 2k+1 its checked decorator.
+std::vector<OverheadRow> paired_rows(const std::vector<std::string>& labels,
+                                     const std::vector<double>& ns) {
   std::vector<OverheadRow> rows;
-  std::vector<std::shared_ptr<const mult::PolyMultiplier>> mults;
-  rows.push_back({std::string(kBackend), 0.0, 1.0});
-  mults.push_back(mult::make_multiplier(kBackend));
-  for (const auto& p : policies) {
-    rows.push_back({"checked(" + std::string(kBackend) + ")/" + p.label});
-    mults.push_back(make_checked(kBackend, p.config));
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    rows.push_back({labels[i], ns[i], ns[i] / ns[i - i % 2]});
   }
+  return rows;
+}
+
+std::vector<OverheadRow> multiplier_overhead(int iters) {
+  std::vector<std::shared_ptr<const mult::PolyMultiplier>> mults;
+  for (const char* name : kPricedBackends) {
+    mults.push_back(mult::make_multiplier(name));
+    mults.push_back(make_checked(name));
+  }
+  std::vector<std::string> labels;
+  for (const auto& m : mults) labels.emplace_back(m->name());
 
   Xoshiro256StarStar rng(4004);
   const auto a = ring::Poly::random(rng, kQ);
@@ -290,20 +293,10 @@ std::vector<OverheadRow> multiplier_overhead(int iters) {
   }
   const auto ns = interleaved_ns_per_call(configs, iters);
   (void)sink;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    rows[i].ns = ns[i];
-    rows[i].ratio = ns[i] / ns[0];
-  }
-  return rows;
+  return paired_rows(labels, ns);
 }
 
-struct DecapsRow {
-  std::string config;
-  double ns = 0.0;
-  double ratio = 1.0;  ///< vs the unchecked scheme
-};
-
-std::vector<DecapsRow> kem_decaps_overhead(int iters) {
+std::vector<OverheadRow> kem_decaps_overhead(int iters) {
   kem::Seed sa{}, ss{};
   sa.fill(0x31);
   ss.fill(0x32);
@@ -316,24 +309,14 @@ std::vector<DecapsRow> kem_decaps_overhead(int iters) {
   const auto keys = plain.keygen_deterministic(sa, ss, z);
   const auto enc = plain.encaps_deterministic(keys.pk, m);
 
-  const struct {
-    const char* label;
-    CheckKind kind;
-  } kinds[] = {
-      {"checked/full", CheckKind::kReference},
-      {"checked/full/point-eval", CheckKind::kPointEval},
-      {"checked/full/freivalds", CheckKind::kFreivalds},
-  };
-
-  std::vector<DecapsRow> rows;
+  std::vector<std::string> labels;
   std::vector<std::shared_ptr<kem::SaberKemScheme>> schemes;
-  rows.push_back({std::string(kBackend)});
-  schemes.push_back(std::make_shared<kem::SaberKemScheme>(kem::kSaber, kBackend));
-  for (const auto& k : kinds) {
-    rows.push_back({k.label});
+  for (const char* name : kPricedBackends) {
+    labels.emplace_back(name);
+    schemes.push_back(std::make_shared<kem::SaberKemScheme>(kem::kSaber, name));
+    labels.push_back("checked(" + std::string(name) + ")");
     schemes.push_back(std::make_shared<kem::SaberKemScheme>(
-        kem::kSaber, std::shared_ptr<const mult::PolyMultiplier>(make_checked(
-                         kBackend, {CheckPolicy::kFull, 8, k.kind}))));
+        kem::kSaber, std::shared_ptr<const mult::PolyMultiplier>(make_checked(name))));
   }
 
   volatile u8 sink = 0;
@@ -344,11 +327,7 @@ std::vector<DecapsRow> kem_decaps_overhead(int iters) {
   }
   const auto ns = interleaved_ns_per_call(configs, iters);
   (void)sink;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    rows[i].ns = ns[i];
-    rows[i].ratio = ns[i] / ns[0];
-  }
-  return rows;
+  return paired_rows(labels, ns);
 }
 
 // --- supervised prepare cost ------------------------------------------------
@@ -363,8 +342,7 @@ struct PrepareRow {
 /// Cost of caching a 3x3 public matrix (the Saber l=3 hot shape) under each
 /// preparation regime. The supervised facade prepares lazily
 /// (copy-on-quarantine), so its no-fault cost must track a single checked
-/// backend; the last row emulates the retired eager design that materialized
-/// every failover backend's image up front.
+/// backend.
 std::vector<PrepareRow> supervised_prepare_cost(int iters) {
   constexpr std::size_t kL = 3;
   Xoshiro256StarStar rng(7007);
@@ -376,8 +354,7 @@ std::vector<PrepareRow> supervised_prepare_cost(int iters) {
   }
 
   const auto raw = mult::make_multiplier(kBackend);
-  const auto checked = make_checked(kBackend, {});
-  const auto checked_alt = make_checked("ntt", {});
+  const auto checked = make_checked(kBackend);
   BackendSupervisor sup({kBackend, "ntt"});
   const auto supervised = sup.make_worker_multiplier();
 
@@ -386,10 +363,6 @@ std::vector<PrepareRow> supervised_prepare_cost(int iters) {
       [&] { sink = mult::PreparedMatrix(a, *raw, kQ).value_count(); },
       [&] { sink = mult::PreparedMatrix(a, *checked, kQ).value_count(); },
       [&] { sink = mult::PreparedMatrix(a, *supervised, kQ).value_count(); },
-      [&] {
-        sink = mult::PreparedMatrix(a, *checked, kQ).value_count() +
-               mult::PreparedMatrix(a, *checked_alt, kQ).value_count();
-      },
   };
   const auto ns = interleaved_ns_per_call(configs, iters);
   (void)sink;
@@ -398,13 +371,10 @@ std::vector<PrepareRow> supervised_prepare_cost(int iters) {
       {std::string(kBackend)},
       {"checked(" + std::string(kBackend) + ")"},
       {"supervised(" + std::string(kBackend) + ">ntt) lazy"},
-      {"eager two-backend images (old)"},
   };
   rows[0].values = mult::PreparedMatrix(a, *raw, kQ).value_count();
   rows[1].values = mult::PreparedMatrix(a, *checked, kQ).value_count();
   rows[2].values = mult::PreparedMatrix(a, *supervised, kQ).value_count();
-  rows[3].values = rows[1].values +
-                   mult::PreparedMatrix(a, *checked_alt, kQ).value_count();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     rows[i].ns = ns[i];
     rows[i].ratio = ns[i] / ns[0];
@@ -467,7 +437,7 @@ int run(int argc, char** argv) {
   const auto decaps = kem_decaps_overhead(kDecapsIters);
   const auto prep = supervised_prepare_cost(kPrepareIters);
 
-  std::printf("Fault-tolerance campaign (backend %s, mod 2^%u, policy full)%s\n\n",
+  std::printf("Fault-tolerance campaign (backend %s, mod 2^%u, every product checked)%s\n\n",
               kBackend, kQ, smoke ? " [smoke]" : "");
   print_campaign("single-bit transient product faults", transient);
   print_campaign("stuck-at product bits", stuck);
@@ -545,19 +515,15 @@ int run(int argc, char** argv) {
                    prep[i].values, i + 1 < prep.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"kem_decaps_overhead\": {\n"
-                 "    \"backend\": \"%s\",\n"
-                 "    \"rows\": [\n",
-                 kBackend);
+    std::fprintf(f, "  \"kem_decaps_overhead\": [\n");
     for (std::size_t i = 0; i < decaps.size(); ++i) {
       std::fprintf(f,
-                   "      { \"config\": \"%s\", \"ns_per_decaps\": %.1f, "
+                   "    { \"config\": \"%s\", \"ns_per_decaps\": %.1f, "
                    "\"ratio\": %.3f }%s\n",
                    decaps[i].config.c_str(), decaps[i].ns, decaps[i].ratio,
                    i + 1 < decaps.size() ? "," : "");
     }
-    std::fprintf(f, "    ]\n  }\n");
+    std::fprintf(f, "  ]\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", json_path);

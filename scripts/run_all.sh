@@ -22,6 +22,21 @@ ctest --test-dir build-release 2>&1 | tee -a test_output.txt
 SABER_CONFORMANCE_ITERS=24 ctest --test-dir build-release -L conformance \
   2>&1 | tee -a test_output.txt
 
+# Fault-campaign gate: the seeded detection/recovery counts are
+# deterministic, so the release campaign must reproduce the campaign sections
+# of the checked-in BENCH_fault.json exactly (its timing sections are not
+# compared).
+./build-release/bench/bench_fault_campaign --json build-release/fault_gate.json >/dev/null
+python3 - build-release/fault_gate.json BENCH_fault.json <<'EOF' 2>&1 | tee -a test_output.txt
+import json, sys
+got, want = (json.load(open(p)) for p in sys.argv[1:3])
+keys = ("transient_campaign", "stuck_at_campaign", "architecture_campaigns")
+bad = [k for k in keys if got[k] != want[k]]
+if bad:
+    sys.exit("fault campaign gate FAILED: " + ", ".join(bad) + " differ from BENCH_fault.json")
+print("fault campaign gate: campaigns match BENCH_fault.json")
+EOF
+
 # Run the suite a second time under address+undefined sanitizers: the
 # robustness layer's exception/zeroization paths are exactly where lifetime
 # bugs would hide.

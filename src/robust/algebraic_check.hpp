@@ -1,8 +1,7 @@
 // Algebraic result checking for polynomial products: evaluate the operands
 // and the exact-integer witness of the product at a point mod a large prime
-// and compare. Costs O(N) multiplies instead of the O(N^2) schoolbook
-// re-derivation the reference check pays, which is what pushes the `full`
-// checking policy from ~1.12x down to ~1.01x per multiply.
+// and compare. Costs O(N) multiplies instead of an O(N^2) schoolbook
+// re-derivation (~1.10x per NTT multiply, see EXPERIMENTS.md E9b).
 //
 // Soundness only holds on *pre-mask* integers, which is why the check runs
 // on `PolyMultiplier::finalize_witness()` output (the signed linear
@@ -34,8 +33,8 @@ namespace saber::robust {
 /// defects vanishing at EVERY checked root simultaneously — each extra root
 /// multiplies the escape probability of a degree-d defect by <= d/P (see
 /// docs/robustness.md). `draw_root()` gives the per-check rotation;
-/// `kFreivalds` prepared transforms cache one operand evaluation per root so
-/// rotation costs nothing at finalize time.
+/// CheckedMultiplier's prepared transforms cache one operand evaluation per
+/// root so rotation costs nothing at finalize time.
 ///
 /// All checkers share one prime, so evaluations cached inside prepared
 /// transforms stay valid across every checker instance as long as the root

@@ -21,31 +21,17 @@ constexpr i64 kAccMagic = 0x5ABE'C4EC'0000'0003LL;
 
 constexpr std::size_t kNn = ring::kN;
 /// Evaluations cached per operand: one per rotation root of the shared
-/// checker, so `kFreivalds` stays cache-only whichever root a check draws.
+/// checker, so a finalize check stays cache-only whichever root it draws.
 constexpr std::size_t kRoots = PointChecker::kNumSharedRoots;
-/// Raw-operand footer of a prepared public/secret: kN coefficients, the
-/// operand's evaluation at every shared check root (kFreivalds reads them at
-/// finalize; the others carry them for a layout independent of CheckKind),
-/// and the magic.
-constexpr std::size_t kOperandTail = kNn + kRoots + 1;
-/// One (a, ea[kRoots], s, es[kRoots]) pair embedded in an accumulator.
-constexpr std::size_t kPairLen = 2 * (kNn + kRoots);
-// Offsets inside one embedded pair.
-constexpr std::size_t kPairEa = kNn;
-constexpr std::size_t kPairS = kNn + kRoots;
-constexpr std::size_t kPairEs = 2 * kNn + kRoots;
-
-ring::Poly unpack_public(std::span<const i64> raw) {
-  ring::Poly a;
-  for (std::size_t i = 0; i < kNn; ++i) a[i] = static_cast<u16>(raw[i]);
-  return a;
-}
-
-ring::SecretPoly unpack_secret(std::span<const i64> raw) {
-  ring::SecretPoly s;
-  for (std::size_t i = 0; i < kNn; ++i) s[i] = static_cast<i8>(raw[i]);
-  return s;
-}
+/// Retained record of one raw operand: kN coefficients | its evaluation at
+/// every shared check root | the qbits it was prepared at.
+constexpr std::size_t kRecordLen = kNn + kRoots + 1;
+constexpr std::size_t kEvalAt = kNn;
+constexpr std::size_t kQBitsAt = kNn + kRoots;
+/// Footer of a prepared operand: its record and the magic.
+constexpr std::size_t kOperandTail = kRecordLen + 1;
+/// One accumulated term: the public operand's record, then the secret's.
+constexpr std::size_t kPairLen = 2 * kRecordLen;
 
 /// Split a checked accumulator into (inner prefix length, embedded pairs).
 struct AccView {
@@ -53,14 +39,14 @@ struct AccView {
   std::span<const i64> pairs;  ///< n_pairs * kPairLen values
 };
 
-AccView parse_acc(const mult::Transformed& acc) {
+AccView parse_acc(std::span<const i64> acc) {
   SABER_REQUIRE(acc.size() >= 2 && acc.back() == kAccMagic,
                 "not a checked-multiplier accumulator");
   const auto n = static_cast<std::size_t>(acc[acc.size() - 2]);
   const std::size_t tail = 2 + n * kPairLen;
   SABER_REQUIRE(acc.size() >= tail, "corrupt checked accumulator header");
   const std::size_t inner_len = acc.size() - tail;
-  return {inner_len, std::span(acc).subspan(inner_len, n * kPairLen)};
+  return {inner_len, acc.subspan(inner_len, n * kPairLen)};
 }
 
 std::span<const i64> operand_prefix(const mult::Transformed& t, i64 magic,
@@ -69,74 +55,76 @@ std::span<const i64> operand_prefix(const mult::Transformed& t, i64 magic,
   return std::span(t).first(t.size() - kOperandTail);
 }
 
+/// Append an operand's footer: raw coefficients, per-root evaluations,
+/// qbits and the magic.
+template <class P, class Eval>
+void append_footer(mult::Transformed& t, const P& p, unsigned qbits, Eval eval,
+                   i64 magic) {
+  t.reserve(t.size() + kOperandTail);
+  for (std::size_t i = 0; i < kNn; ++i) t.push_back(p[i]);
+  for (std::size_t r = 0; r < kRoots; ++r) t.push_back(static_cast<i64>(eval(r)));
+  t.push_back(static_cast<i64>(qbits));
+  t.push_back(magic);
+}
+
 }  // namespace
 
-std::string_view to_string(CheckPolicy policy) {
-  switch (policy) {
-    case CheckPolicy::kOff: return "off";
-    case CheckPolicy::kSampled: return "sampled";
-    case CheckPolicy::kFull: return "full";
-  }
-  return "?";
-}
-
-std::string_view to_string(CheckKind kind) {
-  switch (kind) {
-    case CheckKind::kReference: return "reference";
-    case CheckKind::kPointEval: return "point-eval";
-    case CheckKind::kFreivalds: return "freivalds";
-  }
-  return "?";
-}
-
-CheckedMultiplier::CheckedMultiplier(std::unique_ptr<mult::PolyMultiplier> inner,
-                                     CheckedConfig config,
-                                     std::unique_ptr<mult::PolyMultiplier> fallback)
-    : inner_(std::move(inner)),
-      fallback_(fallback ? std::move(fallback)
-                         : std::make_unique<mult::SchoolbookMultiplier>()),
-      config_(config) {
-  SABER_REQUIRE(static_cast<bool>(inner_), "inner multiplier required");
-  SABER_REQUIRE(config_.policy != CheckPolicy::kSampled || config_.sample_period >= 1,
-                "sample period must be >= 1");
-  name_ = "checked(" + std::string(inner_->name()) + ")";
-}
-
-bool CheckedMultiplier::should_check() const {
-  switch (config_.policy) {
-    case CheckPolicy::kOff: return false;
-    case CheckPolicy::kFull: return true;
-    case CheckPolicy::kSampled: {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      return sample_clock_++ % config_.sample_period == 0;
-    }
-  }
-  return false;
-}
-
-void CheckedMultiplier::bump(u64 FaultCounters::* field) const {
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  ++(counters_.*field);
-}
-
-void CheckedMultiplier::record(FaultRecord::Path path, FaultRecord::Resolution res,
-                               unsigned qbits) const {
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  log_.push_back({path, res, qbits});
-}
-
-FaultCounters CheckedMultiplier::fault_counters() const {
-  const std::lock_guard<std::mutex> lock(stats_mu_);
+FaultCounters RecoveryLadder::counters() const {
+  const std::lock_guard<std::mutex> lock(mu_);
   return counters_;
 }
 
-std::vector<FaultRecord> CheckedMultiplier::fault_log() const {
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  return log_;
+void RecoveryLadder::bump(u64 FaultCounters::* field) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++(counters_.*field);
 }
 
-bool CheckedMultiplier::algebraic_multiply(const ring::Poly& a, const ring::Poly& b,
-                                           unsigned qbits, ring::Poly& product) const {
+ring::Poly RetainedOperand::public_poly() const {
+  ring::Poly a;
+  for (std::size_t i = 0; i < kNn; ++i) a[i] = static_cast<u16>(coeffs[i]);
+  return a;
+}
+
+ring::SecretPoly RetainedOperand::secret_poly() const {
+  ring::SecretPoly s;
+  for (std::size_t i = 0; i < kNn; ++i) s[i] = static_cast<i8>(coeffs[i]);
+  return s;
+}
+
+CheckedMultiplier::CheckedMultiplier(std::unique_ptr<mult::PolyMultiplier> inner,
+                                     std::unique_ptr<mult::PolyMultiplier> fallback)
+    : inner_(std::move(inner)),
+      fallback_(fallback ? std::move(fallback)
+                         : std::make_unique<mult::SchoolbookMultiplier>()) {
+  SABER_REQUIRE(static_cast<bool>(inner_), "inner multiplier required");
+  name_ = "checked(" + std::string(inner_->name()) + ")";
+}
+
+std::vector<RetainedOperand> CheckedMultiplier::retained_operands(
+    std::span<const i64> t) {
+  SABER_REQUIRE(!t.empty(), "not a checked transform");
+  std::span<const i64> records;
+  if (t.back() == kAccMagic) {
+    records = parse_acc(t).pairs;
+  } else {
+    SABER_REQUIRE(t.size() >= kOperandTail &&
+                      (t.back() == kPubMagic || t.back() == kSecMagic),
+                  "not a checked transform");
+    records = t.last(kOperandTail).first(kRecordLen);
+  }
+  std::vector<RetainedOperand> out;
+  out.reserve(records.size() / kRecordLen);
+  for (std::size_t off = 0; off < records.size(); off += kRecordLen) {
+    const i64 qbits = records[off + kQBitsAt];
+    SABER_REQUIRE(qbits >= 1 && qbits <= 16, "checked transform qbits corrupt");
+    out.push_back({records.subspan(off, kNn), static_cast<unsigned>(qbits)});
+  }
+  return out;
+}
+
+std::optional<ring::Poly> CheckedMultiplier::checked_multiply(const ring::Poly& a,
+                                                              const ring::Poly& b,
+                                                              unsigned qbits) const {
   const auto& pc = shared_point_checker();
   // Rotating per-check root: an adversarial defect tuned to one published
   // evaluation point does not know which root this check lands on.
@@ -151,91 +139,38 @@ bool CheckedMultiplier::algebraic_multiply(const ring::Poly& a, const ring::Poly
     const auto w = inner_->finalize_witness(acc);
     if (!pc.verify(pc.eval_public(a, qbits, root), pc.eval_public(b, qbits, root),
                    pc.eval_witness(w, root))) {
-      return false;
+      return std::nullopt;
     }
-    product = mult::reduce_witness<ring::kN>(std::span<const i64>(w), qbits);
-    return true;
+    return mult::reduce_witness<ring::kN>(std::span<const i64>(w), qbits);
   } catch (const ContractViolation&) {
     // Corrupted transform state can trip a backend invariant (e.g. Toom-Cook's
     // exact-division ENSURE) before a witness exists; that is a detection.
-    return false;
+    return std::nullopt;
   }
 }
 
 ring::Poly CheckedMultiplier::multiply(const ring::Poly& a, const ring::Poly& b,
                                        unsigned qbits) const {
-  if (config_.kind != CheckKind::kReference) {
-    if (!should_check()) return inner_->multiply(a, b, qbits);
-    bump(&FaultCounters::checks);
-    ring::Poly product{};
-    if (algebraic_multiply(a, b, qbits, product)) return product;
-    bump(&FaultCounters::mismatches);
-    const auto reference = fallback_->multiply(a, b, qbits);
-    const auto retried = inner_->multiply(a, b, qbits);
-    if (retried == reference) {
-      bump(&FaultCounters::retry_recoveries);
-      record(FaultRecord::Path::kMultiply, FaultRecord::Resolution::kRetry, qbits);
-      return retried;
-    }
-    if (fallback_->multiply(a, b, qbits) != reference) {
-      throw FaultDetectedError(
-          "unrecoverable fault: reference backend is inconsistent with itself");
-    }
-    bump(&FaultCounters::failovers);
-    record(FaultRecord::Path::kMultiply, FaultRecord::Resolution::kFailover, qbits);
-    return reference;
-  }
-
-  auto product = inner_->multiply(a, b, qbits);
-  if (!should_check()) return product;
-
-  bump(&FaultCounters::checks);
-  const auto reference = fallback_->multiply(a, b, qbits);
-  if (product == reference) return product;
-
-  bump(&FaultCounters::mismatches);
-  // Transient-fault recovery: a one-shot upset does not repeat.
-  const auto retried = inner_->multiply(a, b, qbits);
-  if (retried == reference) {
-    bump(&FaultCounters::retry_recoveries);
-    record(FaultRecord::Path::kMultiply, FaultRecord::Resolution::kRetry, qbits);
-    return retried;
-  }
-  // Permanent fault: fail over to the reference backend — after confirming
-  // the reference reproduces itself, so a faulty reference cannot be trusted
-  // silently.
-  if (fallback_->multiply(a, b, qbits) != reference) {
-    throw FaultDetectedError(
-        "unrecoverable fault: reference backend is inconsistent with itself");
-  }
-  bump(&FaultCounters::failovers);
-  record(FaultRecord::Path::kMultiply, FaultRecord::Resolution::kFailover, qbits);
-  return reference;
+  return ladder_.run([&] { return checked_multiply(a, b, qbits); },
+                     [&] { return fallback_->multiply(a, b, qbits); },
+                     [&] { return inner_->multiply(a, b, qbits); });
 }
 
 mult::Transformed CheckedMultiplier::prepare_public(const ring::Poly& a,
                                                     unsigned qbits) const {
   auto t = inner_->prepare_public(a, qbits);
-  t.reserve(t.size() + kOperandTail);
-  for (std::size_t i = 0; i < kNn; ++i) t.push_back(a[i]);
   const auto& pc = shared_point_checker();
-  for (std::size_t r = 0; r < kRoots; ++r) {
-    t.push_back(static_cast<i64>(pc.eval_public(a, qbits, r)));
-  }
-  t.push_back(kPubMagic);
+  append_footer(t, a, qbits, [&](std::size_t r) { return pc.eval_public(a, qbits, r); },
+                kPubMagic);
   return t;
 }
 
 mult::Transformed CheckedMultiplier::prepare_secret(const ring::SecretPoly& s,
                                                     unsigned qbits) const {
   auto t = inner_->prepare_secret(s, qbits);
-  t.reserve(t.size() + kOperandTail);
-  for (std::size_t i = 0; i < kNn; ++i) t.push_back(s[i]);
   const auto& pc = shared_point_checker();
-  for (std::size_t r = 0; r < kRoots; ++r) {
-    t.push_back(static_cast<i64>(pc.eval_secret(s, r)));
-  }
-  t.push_back(kSecMagic);
+  append_footer(t, s, qbits, [&](std::size_t r) { return pc.eval_secret(s, r); },
+                kSecMagic);
   return t;
 }
 
@@ -271,63 +206,54 @@ void CheckedMultiplier::pointwise_accumulate(mult::Transformed& acc,
   acc = std::move(next);
 }
 
-ring::Poly CheckedMultiplier::reference_sum(std::span<const i64> pairs,
+ring::Poly CheckedMultiplier::reference_sum(std::span<const RetainedOperand> terms,
                                             unsigned qbits) const {
   ring::Poly sum{};
-  for (std::size_t off = 0; off < pairs.size(); off += kPairLen) {
-    const auto a = unpack_public(pairs.subspan(off, kNn));
-    const auto s = unpack_secret(pairs.subspan(off + kPairS, kNn));
-    ring::add_inplace(sum, fallback_->multiply_secret(a, s, qbits), qbits);
+  for (std::size_t k = 0; k + 1 < terms.size(); k += 2) {
+    ring::add_inplace(sum,
+                      fallback_->multiply_secret(terms[k].public_poly(),
+                                                 terms[k + 1].secret_poly(), qbits),
+                      qbits);
   }
   return sum;
 }
 
-ring::Poly CheckedMultiplier::inner_recompute(std::span<const i64> pairs,
+ring::Poly CheckedMultiplier::inner_recompute(std::span<const RetainedOperand> terms,
                                               unsigned qbits) const {
   // Full re-derivation on the inner backend: fresh forward transforms, fresh
   // accumulation, fresh inverse transform. A transient during the *original*
   // prepare or accumulate is left behind, not replayed.
   auto acc = inner_->make_accumulator();
-  for (std::size_t off = 0; off < pairs.size(); off += kPairLen) {
-    const auto a = unpack_public(pairs.subspan(off, kNn));
-    const auto s = unpack_secret(pairs.subspan(off + kPairS, kNn));
-    inner_->pointwise_accumulate(acc, inner_->prepare_public(a, qbits),
-                                 inner_->prepare_secret(s, qbits));
+  for (std::size_t k = 0; k + 1 < terms.size(); k += 2) {
+    inner_->pointwise_accumulate(acc, inner_->prepare_public(terms[k].public_poly(), qbits),
+                                 inner_->prepare_secret(terms[k + 1].secret_poly(), qbits));
   }
   return inner_->finalize(acc, qbits);
 }
 
-bool CheckedMultiplier::algebraic_finalize(const mult::Transformed& inner_acc,
-                                           std::span<const i64> pairs, unsigned qbits,
-                                           ring::Poly& product) const {
+std::optional<ring::Poly> CheckedMultiplier::checked_finalize(
+    const mult::Transformed& inner_acc, std::span<const i64> pairs,
+    unsigned qbits) const {
   const auto& pc = shared_point_checker();
-  // Rotate the evaluation root per check. kFreivalds pays nothing for the
-  // rotation: prepare_* cached one evaluation per root, finalize just picks
-  // the drawn root's column.
+  // Rotate the evaluation root per check. The rotation costs nothing here:
+  // prepare_* cached one evaluation per root, finalize just picks the drawn
+  // root's column.
   const std::size_t root = pc.draw_root();
   try {
     const auto w = inner_->finalize_witness(inner_acc);
-    // The check is linear in the accumulated terms: sum_k a_k(x_r) * s_k(x_r)
-    // must equal w(x_r). With cached evaluations (kFreivalds) this is the
-    // Freivalds vector check for a matvec row: O(l) modular multiplies plus
-    // one witness evaluation, independent of the backend's transform cost.
+    // The Freivalds vector check for a matvec row: sum_k a_k(x_r) * s_k(x_r)
+    // must equal w(x_r) — O(l) modular multiplies plus one witness
+    // evaluation, independent of the backend's transform cost.
     u64 sum = 0;
     for (std::size_t off = 0; off < pairs.size(); off += kPairLen) {
-      u64 ea, es;
-      if (config_.kind == CheckKind::kFreivalds) {
-        ea = static_cast<u64>(pairs[off + kPairEa + root]);
-        es = static_cast<u64>(pairs[off + kPairEs + root]);
-      } else {
-        ea = pc.eval_public(unpack_public(pairs.subspan(off, kNn)), qbits, root);
-        es = pc.eval_secret(unpack_secret(pairs.subspan(off + kPairS, kNn)), root);
-      }
+      const auto ea = static_cast<u64>(pairs[off + kEvalAt + root]);
+      const auto es = static_cast<u64>(pairs[off + kRecordLen + kEvalAt + root]);
       sum = pc.add(sum, pc.mul(ea, es));
     }
-    if (pc.eval_witness(w, root) != sum) return false;
-    product = mult::reduce_witness<ring::kN>(std::span<const i64>(w), qbits);
-    return true;
+    if (pc.eval_witness(w, root) != sum) return std::nullopt;
+    return mult::reduce_witness<ring::kN>(std::span<const i64>(w), qbits);
   } catch (const ContractViolation&) {
-    return false;
+    return std::nullopt;
   }
 }
 
@@ -336,81 +262,27 @@ ring::Poly CheckedMultiplier::finalize(const mult::Transformed& acc,
   const auto view = parse_acc(acc);
   const mult::Transformed inner_acc(
       acc.begin(), acc.begin() + static_cast<std::ptrdiff_t>(view.inner_len));
-
-  if (config_.kind != CheckKind::kReference) {
-    if (!should_check()) return inner_->finalize(inner_acc, qbits);
-    bump(&FaultCounters::checks);
-    ring::Poly product{};
-    if (algebraic_finalize(inner_acc, view.pairs, qbits, product)) return product;
-    bump(&FaultCounters::mismatches);
-    const auto ref = reference_sum(view.pairs, qbits);
-    const auto retry = inner_recompute(view.pairs, qbits);
-    if (retry == ref) {
-      bump(&FaultCounters::retry_recoveries);
-      record(FaultRecord::Path::kFinalize, FaultRecord::Resolution::kRetry, qbits);
-      return retry;
-    }
-    if (reference_sum(view.pairs, qbits) != ref) {
-      throw FaultDetectedError(
-          "unrecoverable fault: reference backend is inconsistent with itself");
-    }
-    bump(&FaultCounters::failovers);
-    record(FaultRecord::Path::kFinalize, FaultRecord::Resolution::kFailover, qbits);
-    return ref;
-  }
-
-  auto result = inner_->finalize(inner_acc, qbits);
-  if (!should_check()) return result;
-
-  bump(&FaultCounters::checks);
-  const auto reference = reference_sum(view.pairs, qbits);
-  if (result == reference) return result;
-
-  bump(&FaultCounters::mismatches);
-  const auto retried = inner_recompute(view.pairs, qbits);
-  if (retried == reference) {
-    bump(&FaultCounters::retry_recoveries);
-    record(FaultRecord::Path::kFinalize, FaultRecord::Resolution::kRetry, qbits);
-    return retried;
-  }
-  if (reference_sum(view.pairs, qbits) != reference) {
-    throw FaultDetectedError(
-        "unrecoverable fault: reference backend is inconsistent with itself");
-  }
-  bump(&FaultCounters::failovers);
-  record(FaultRecord::Path::kFinalize, FaultRecord::Resolution::kFailover, qbits);
-  return reference;
+  return ladder_.run(
+      [&] { return checked_finalize(inner_acc, view.pairs, qbits); },
+      [&] { return reference_sum(retained_operands(acc), qbits); },
+      [&] { return inner_recompute(retained_operands(acc), qbits); });
 }
 
 std::size_t CheckedMultiplier::max_accumulated_terms() const {
   return inner_->max_accumulated_terms();
 }
 
-std::unique_ptr<CheckedMultiplier> make_checked(std::string_view inner_name,
-                                                CheckedConfig config) {
-  return std::make_unique<CheckedMultiplier>(mult::make_multiplier(inner_name), config);
+std::unique_ptr<CheckedMultiplier> make_checked(std::string_view inner_name) {
+  return std::make_unique<CheckedMultiplier>(mult::make_multiplier(inner_name));
 }
 
 CheckedHwMultiplier::CheckedHwMultiplier(std::unique_ptr<arch::HwMultiplier> inner,
-                                         CheckedConfig config,
                                          std::unique_ptr<mult::PolyMultiplier> reference)
     : inner_(std::move(inner)),
       reference_(reference ? std::move(reference)
-                           : std::make_unique<mult::SchoolbookMultiplier>()),
-      config_(config) {
+                           : std::make_unique<mult::SchoolbookMultiplier>()) {
   SABER_REQUIRE(static_cast<bool>(inner_), "inner architecture required");
-  SABER_REQUIRE(config_.policy != CheckPolicy::kSampled || config_.sample_period >= 1,
-                "sample period must be >= 1");
   name_ = "checked(" + std::string(inner_->name()) + ")";
-}
-
-bool CheckedHwMultiplier::should_check() {
-  switch (config_.policy) {
-    case CheckPolicy::kOff: return false;
-    case CheckPolicy::kFull: return true;
-    case CheckPolicy::kSampled: return sample_clock_++ % config_.sample_period == 0;
-  }
-  return false;
 }
 
 void CheckedHwMultiplier::check_cycles(const hw::CycleStats& cycles) {
@@ -432,33 +304,31 @@ arch::MultiplierResult CheckedHwMultiplier::multiply(const ring::Poly& a,
                                                      const ring::SecretPoly& s,
                                                      const ring::Poly* accumulate) {
   constexpr unsigned kQ = arch::MemoryMap::kQBits;
-  auto res = inner_->multiply(a, s, accumulate);
-  check_cycles(res.cycles);
-  if (!should_check()) return res;
-
-  ++counters_.checks;
-  auto expected = reference_->multiply_secret(a, s, kQ);
-  if (accumulate != nullptr) ring::add_inplace(expected, *accumulate, kQ);
-  if (res.product == expected) return res;
-
-  ++counters_.mismatches;
-  auto retried = inner_->multiply(a, s, accumulate);
-  check_cycles(retried.cycles);
-  if (retried.product == expected) {
-    ++counters_.retry_recoveries;
-    log_.push_back({FaultRecord::Path::kHardware, FaultRecord::Resolution::kRetry, kQ});
-    return retried;
-  }
-  auto expected2 = reference_->multiply_secret(a, s, kQ);
-  if (accumulate != nullptr) ring::add_inplace(expected2, *accumulate, kQ);
-  if (expected2 != expected) {
-    throw FaultDetectedError(
-        "unrecoverable fault: reference backend is inconsistent with itself");
-  }
-  ++counters_.failovers;
-  log_.push_back({FaultRecord::Path::kHardware, FaultRecord::Resolution::kFailover, kQ});
-  retried.product = expected;  // cycle/power stats remain the hardware runs'
-  return retried;
+  const auto run = [&] {
+    auto r = inner_->multiply(a, s, accumulate);
+    check_cycles(r.cycles);
+    return r;
+  };
+  const auto reference = [&] {
+    auto expected = reference_->multiply_secret(a, s, kQ);
+    if (accumulate != nullptr) ring::add_inplace(expected, *accumulate, kQ);
+    return expected;
+  };
+  auto res = run();
+  // A product already masked to 2^13 has no exact witness, so the check is
+  // equality with the reference. Cycle/power stats stay the hardware runs'.
+  const auto product = ladder_.run(
+      [&]() -> std::optional<ring::Poly> {
+        if (res.product == reference()) return res.product;
+        return std::nullopt;
+      },
+      reference,
+      [&] {
+        res = run();
+        return res.product;
+      });
+  res.product = product;
+  return res;
 }
 
 }  // namespace saber::robust

@@ -3,35 +3,39 @@
 // A single stuck-at or transient bit in a MAC, DSP or BRAM silently corrupts
 // the product — and through it the KEM shared secret. CheckedMultiplier
 // wraps any software PolyMultiplier (CheckedHwMultiplier any cycle-accurate
-// HwMultiplier) and cross-checks products against an independent reference
-// backend (schoolbook by default):
+// HwMultiplier) and verifies every product it returns.
 //
-//   policy kFull     every product is verified (the acceptance bar:
-//                    100% detection of single-bit product faults);
-//   policy kSampled  1-in-N products verified (cheap steady-state screening);
-//   policy kOff      pass-through (for overhead baselines).
+// The software decorator has one check: the Freivalds identity
+// sum_k a_k(x_r) * s_k(x_r) == w(x_r) over the inner backend's exact-integer
+// witness, at a root x_r of x^N + 1 that rotates per check (see
+// algebraic_check.hpp). The hardware decorator compares against the
+// reference product instead: a product masked to 2^13 has no exact witness.
 //
-// On a mismatch the decorator (1) records a fault event, (2) recomputes once
-// on the same backend — a transient fault does not repeat, so the retry
-// usually clears it — and (3) if the retry still disagrees, fails over to
-// the reference result, re-deriving it a second time so a fault inside the
-// reference itself cannot be silently trusted (two disagreeing reference
-// runs throw FaultDetectedError). Either way the caller receives a correct
-// product: the KEM result survives the fault.
+// Both decorators recover through one shared RecoveryLadder. On a mismatch
+// it (1) computes the reference product (schoolbook by default), (2)
+// recomputes once on the inner backend — a transient fault does not repeat,
+// so the retry usually clears it — and (3) if the retry still disagrees,
+// fails over to the reference result, re-deriving it a second time so a
+// fault inside the reference itself cannot be silently trusted (two
+// disagreeing reference runs throw FaultDetectedError). Either way the
+// caller receives a correct product: the KEM result survives the fault.
 //
-// The split-transform path (prepare/accumulate/finalize, PR 1) is covered
-// too: the decorator's Transformed layout appends the raw operands to the
-// inner backend's transforms, so finalize() can rebuild an independent
-// reference sum — and, on retry, re-run the whole inner transform pipeline
-// from scratch (a fault during prepare/accumulate is caught, not just one
-// during finalize). The embedded operands roughly double prepared-operand
-// memory; that is the price of instance-independent verifiability (prepared
-// matrices stay shareable across worker threads, as the batch pipeline
-// requires).
+// The split-transform path (prepare/accumulate/finalize) is covered too: the
+// decorator's Transformed layout appends each raw operand, its modulus and
+// its evaluation at every check root to the inner backend's transform, so
+// finalize() checks an accumulated row with O(l) modular multiplies and, on
+// a mismatch, re-runs the whole inner transform pipeline from the raw
+// operands (a fault during prepare/accumulate is caught, not just one during
+// finalize). The retained raw operands are the only copy in the stack: the
+// supervisor reads them through retained_operands() for lazy re-prepare and
+// accumulator replay. Prepared matrices stay instance-independent, so they
+// remain shareable across worker threads, as the batch pipeline requires.
 #pragma once
 
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,42 +45,64 @@
 
 namespace saber::robust {
 
-enum class CheckPolicy : u8 { kOff, kSampled, kFull };
-
-std::string_view to_string(CheckPolicy policy);
-
-/// How a checked product is verified (the *when* is CheckPolicy's job):
-///
-///   kReference  re-derive via the independent reference backend and compare
-///               (~1.12x per multiply; catches anything, bar nothing);
-///   kPointEval  run the inner split pipeline, obtain the exact-integer
-///               witness (PolyMultiplier::finalize_witness) and check
-///               a(x0) * s(x0) == w(x0) mod a ~2^60 prime (~1.01x; the
-///               product is then the fold of the verified witness);
-///   kFreivalds  like kPointEval, but prepared transforms cache their
-///               operand evaluations, so a finalize over an accumulated
-///               matvec row checks sum_j ea_j * es_j == ew with O(l) extra
-///               modular multiplies — the Freivalds vector check.
-///
-/// Either algebraic kind falls back to the reference backend as arbiter the
-/// moment a check fails, so recovery semantics are identical to kReference.
-enum class CheckKind : u8 { kReference, kPointEval, kFreivalds };
-
-std::string_view to_string(CheckKind kind);
+// Source compatibility for configuration code written against the retired
+// policies and check kinds: each enum keeps only the behaviour that remains,
+// and the decorators read neither field.
+enum class CheckPolicy : u8 { kFull };
+enum class CheckKind : u8 { kFreivalds };
 
 struct CheckedConfig {
   CheckPolicy policy = CheckPolicy::kFull;
-  std::size_t sample_period = 8;  ///< kSampled: verify every Nth product
-  CheckKind kind = CheckKind::kReference;
+  CheckKind kind = CheckKind::kFreivalds;
 };
 
-/// One detected fault and how it was resolved.
-struct FaultRecord {
-  enum class Path : u8 { kMultiply, kFinalize, kHardware };
-  enum class Resolution : u8 { kRetry, kFailover };
-  Path path;
-  Resolution resolution;
-  unsigned qbits;
+/// The detect -> retry -> arbitrate ladder both decorators run, and the fault
+/// counters it owns. Every counter update and snapshot synchronizes on an
+/// internal mutex, so a monitoring thread may poll counters() while another
+/// thread multiplies through the decorator (the supervisor polls status from
+/// outside the worker, and the batch pipeline snapshots counters around
+/// every item).
+class RecoveryLadder {
+ public:
+  FaultCounters counters() const;
+
+  /// `check()` returns the verified product, or nullopt on a mismatch.
+  /// `reference()` and `retry()` each return a fresh product, from the
+  /// reference backend and the inner backend respectively.
+  template <class Check, class Reference, class Retry>
+  ring::Poly run(Check&& check, Reference&& reference, Retry&& retry) const {
+    bump(&FaultCounters::checks);
+    if (std::optional<ring::Poly> verified = check()) return *verified;
+    bump(&FaultCounters::mismatches);
+    const ring::Poly expected = reference();
+    ring::Poly retried = retry();
+    if (retried == expected) {
+      bump(&FaultCounters::retry_recoveries);
+      return retried;
+    }
+    if (reference() != expected) {
+      throw FaultDetectedError(
+          "unrecoverable fault: reference backend is inconsistent with itself");
+    }
+    bump(&FaultCounters::failovers);
+    return expected;
+  }
+
+ private:
+  void bump(u64 FaultCounters::* field) const;
+
+  mutable std::mutex mu_;
+  mutable FaultCounters counters_;  ///< guarded by mu_
+};
+
+/// One raw operand a checked transform retains: its kN coefficients (widened
+/// to i64) and the modulus it was prepared at.
+struct RetainedOperand {
+  std::span<const i64> coeffs;
+  unsigned qbits = 0;
+
+  ring::Poly public_poly() const;
+  ring::SecretPoly secret_poly() const;
 };
 
 class CheckedMultiplier final : public mult::PolyMultiplier, public FaultMonitor {
@@ -85,20 +111,19 @@ class CheckedMultiplier final : public mult::PolyMultiplier, public FaultMonitor
   /// fallback must be a different physical instance from `inner` (and for
   /// real fault isolation, a different algorithm).
   explicit CheckedMultiplier(std::unique_ptr<mult::PolyMultiplier> inner,
-                             CheckedConfig config = {},
                              std::unique_ptr<mult::PolyMultiplier> fallback = nullptr);
 
   std::string_view name() const override { return name_; }
-  const CheckedConfig& config() const { return config_; }
   const mult::PolyMultiplier& inner() const { return *inner_; }
 
-  /// Snapshot of the fault statistics. Safe to call from a monitoring thread
-  /// while another thread is multiplying through this instance: all stat
-  /// mutation and both accessors synchronize on an internal mutex (the
-  /// supervisor polls status from outside the worker, and the batch pipeline
-  /// snapshots counters around every item).
-  FaultCounters fault_counters() const override;
-  std::vector<FaultRecord> fault_log() const;
+  /// Snapshot of the fault statistics; thread-safe (see RecoveryLadder).
+  FaultCounters fault_counters() const override { return ladder_.counters(); }
+
+  /// The raw operands retained by a transform this class produced: one for a
+  /// prepared public or secret operand; two per accumulated term (the public
+  /// operand, then the secret) for an accumulator. Rejects anything that is
+  /// not an intact checked transform.
+  static std::vector<RetainedOperand> retained_operands(std::span<const i64> t);
 
   ring::Poly multiply(const ring::Poly& a, const ring::Poly& b,
                       unsigned qbits) const override;
@@ -113,53 +138,39 @@ class CheckedMultiplier final : public mult::PolyMultiplier, public FaultMonitor
   std::size_t max_accumulated_terms() const override;
 
  private:
-  bool should_check() const;
-  /// Increment one fault counter under the stats mutex. Every counter
-  /// mutation funnels through here so the monitor accessors never observe a
-  /// torn or racy update.
-  void bump(u64 FaultCounters::* field) const;
-  ring::Poly reference_sum(std::span<const i64> pairs, unsigned qbits) const;
-  ring::Poly inner_recompute(std::span<const i64> pairs, unsigned qbits) const;
-  void record(FaultRecord::Path path, FaultRecord::Resolution res, unsigned qbits) const;
-  /// Algebraic verification of one product via the inner split pipeline.
-  /// Returns false (leaving `product` untouched) when the point check fails
-  /// or the corrupted state trips a backend invariant.
-  bool algebraic_multiply(const ring::Poly& a, const ring::Poly& b, unsigned qbits,
-                          ring::Poly& product) const;
-  /// Algebraic verification of an accumulated row. `pairs` supplies the
-  /// operand evaluations (cached for kFreivalds, recomputed for kPointEval).
-  bool algebraic_finalize(const mult::Transformed& inner_acc,
-                          std::span<const i64> pairs, unsigned qbits,
-                          ring::Poly& product) const;
+  /// Point check of one product via the inner split pipeline; nullopt when
+  /// the check fails or the corrupted state trips a backend invariant.
+  std::optional<ring::Poly> checked_multiply(const ring::Poly& a, const ring::Poly& b,
+                                             unsigned qbits) const;
+  /// Freivalds check of an accumulated row against its cached evaluations.
+  std::optional<ring::Poly> checked_finalize(const mult::Transformed& inner_acc,
+                                             std::span<const i64> pairs,
+                                             unsigned qbits) const;
+  ring::Poly reference_sum(std::span<const RetainedOperand> terms, unsigned qbits) const;
+  ring::Poly inner_recompute(std::span<const RetainedOperand> terms,
+                             unsigned qbits) const;
 
   std::unique_ptr<mult::PolyMultiplier> inner_;
   std::unique_ptr<mult::PolyMultiplier> fallback_;
-  CheckedConfig config_;
   std::string name_;
-  mutable std::mutex stats_mu_;  ///< guards counters_, log_, sample_clock_
-  mutable FaultCounters counters_;
-  mutable std::vector<FaultRecord> log_;
-  mutable std::size_t sample_clock_ = 0;
+  RecoveryLadder ladder_;
 };
 
 /// Convenience: checked decorator over a strategy resolved by name.
-std::unique_ptr<CheckedMultiplier> make_checked(std::string_view inner_name,
-                                                CheckedConfig config = {});
+std::unique_ptr<CheckedMultiplier> make_checked(std::string_view inner_name);
 
-/// Checked decorator over a cycle-accurate architecture model. Verification
-/// compares the hardware product against an independent software reference
-/// (schoolbook by default) at the hardware modulus 2^13; on mismatch the
-/// multiplication is re-run once on the model, then failed over to the
-/// reference product (cycle statistics stay those of the hardware runs).
+/// Checked decorator over a cycle-accurate architecture model. Every product
+/// is compared against an independent software reference (schoolbook by
+/// default) at the hardware modulus 2^13 and recovered through the same
+/// RecoveryLadder (cycle statistics stay those of the hardware runs).
 class CheckedHwMultiplier final : public arch::HwMultiplier, public FaultMonitor {
  public:
   explicit CheckedHwMultiplier(std::unique_ptr<arch::HwMultiplier> inner,
-                               CheckedConfig config = {},
                                std::unique_ptr<mult::PolyMultiplier> reference = nullptr);
 
   std::string_view name() const override { return name_; }
-  FaultCounters fault_counters() const override { return counters_; }
-  const std::vector<FaultRecord>& fault_log() const { return log_; }
+  /// Snapshot of the fault statistics; thread-safe (see RecoveryLadder).
+  FaultCounters fault_counters() const override { return ladder_.counters(); }
 
   arch::MultiplierResult multiply(const ring::Poly& a, const ring::SecretPoly& s,
                                   const ring::Poly* accumulate = nullptr) override;
@@ -180,16 +191,12 @@ class CheckedHwMultiplier final : public arch::HwMultiplier, public FaultMonitor
   u64 cycle_violations() const { return cycle_violations_; }
 
  private:
-  bool should_check();
   void check_cycles(const hw::CycleStats& cycles);
 
   std::unique_ptr<arch::HwMultiplier> inner_;
   std::unique_ptr<mult::PolyMultiplier> reference_;
-  CheckedConfig config_;
   std::string name_;
-  FaultCounters counters_;
-  std::vector<FaultRecord> log_;
-  std::size_t sample_clock_ = 0;
+  RecoveryLadder ladder_;
   u64 baseline_total_ = 0;  ///< first run's total cycle count
   u64 cycle_violations_ = 0;
 };

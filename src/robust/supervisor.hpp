@@ -26,17 +26,18 @@
 //
 // Thread model: the supervisor hands each KemBatch worker its own
 // SupervisedMultiplier facade via make_worker_multiplier(). Each facade owns
-// private CheckedMultiplier instances (one per backend, so the mutable op
-// counters never race) and shares only the mutex-guarded breaker state.
-// Split-transform caching stays sound across health changes — lazily,
-// copy-on-quarantine: a prepared transform materializes only the active
-// backend's image plus the raw polynomial it came from, so the no-fault
-// path pays exactly 1x a single backend's prepare cost and memory. A
-// consumer routed to a different backend (after a quarantine) re-prepares
-// that backend's image on demand from the retained raw polynomial;
-// accumulators retain their raw (a, s) pairs and are migrated across a
-// failover boundary by replay. Shared transforms stay immutable, so a
-// mid-batch failover never invalidates a shared prepared matrix.
+// private CheckedMultiplier instances (one per backend) and shares only the
+// mutex-guarded breaker state. Split-transform caching stays sound across
+// health changes — lazily, copy-on-quarantine: a prepared transform
+// materializes only the active backend's checked image, tagged with the
+// backend index, so the no-fault path pays exactly 1x a single checked
+// backend's prepare cost and memory. The checked image already retains the
+// raw polynomial and its modulus (CheckedMultiplier::retained_operands), so
+// a consumer routed to a different backend (after a quarantine) re-prepares
+// that backend's image on demand from it, and a checked accumulator, which
+// retains its raw (a, s) pairs the same way, is migrated across a failover
+// boundary by replay. Shared transforms stay immutable, so a mid-batch
+// failover never invalidates a shared prepared matrix.
 #pragma once
 
 #include <functional>
@@ -60,7 +61,7 @@ struct SupervisorConfig {
   u64 quarantine_after = 3;  ///< confirmed faults that open the breaker
   u64 probe_after = 8;       ///< routed-around calls before half-opening
   u64 probes_to_close = 1;   ///< consecutive probe passes to readmit
-  CheckedConfig check;       ///< per-backend product checking
+  CheckedConfig check;       ///< one configuration; the checker reads nothing here
 };
 
 /// Snapshot of one backend's breaker.

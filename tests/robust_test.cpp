@@ -3,7 +3,7 @@
 // multiplier decorators (detect / retry / fail over), and the
 // failure-isolating batch KEM pipeline.
 //
-// The acceptance bar exercised here: under CheckPolicy::kFull, a seeded
+// The acceptance bar exercised here: with every product checked, a seeded
 // campaign of single-bit transient product faults is detected 100% of the
 // time and recovered >= 95% of the time; a batch with one poisoned item
 // completes every other item ok.
@@ -200,7 +200,7 @@ TEST(CheckedMultiplier, MixingRawTransformsIntoCheckedInstanceIsRejected) {
   EXPECT_THROW(checked->finalize(raw_acc, kQ), ContractViolation);
 }
 
-// --- checked multiplier: policies ------------------------------------------
+// --- checked multiplier: helpers -------------------------------------------
 
 std::shared_ptr<FaultInjector> injector_with(const FaultSpec& spec, u64 seed = 0) {
   auto inj = std::make_shared<FaultInjector>(seed);
@@ -208,54 +208,37 @@ std::shared_ptr<FaultInjector> injector_with(const FaultSpec& spec, u64 seed = 0
   return inj;
 }
 
-TEST(CheckedMultiplier, PolicyOffPassesFaultsThrough) {
-  auto inj = injector_with(FaultSpec::permanent_flip(FaultSite::kProduct, 4, 33));
-  CheckedMultiplier checked(
-      std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom4"), inj),
-      CheckedConfig{CheckPolicy::kOff, 8});
-  mult::SchoolbookMultiplier ref;
-  Xoshiro256StarStar rng(323);
-  const auto a = ring::Poly::random(rng, kQ);
-  const auto s = ring::SecretPoly::random(rng, 4);
-  EXPECT_NE(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ));
-  EXPECT_EQ(checked.fault_counters().checks, 0u);
-}
-
-TEST(CheckedMultiplier, SampledPolicyChecksEveryNthProduct) {
-  const auto checked =
-      make_checked("toom4", CheckedConfig{CheckPolicy::kSampled, 4});
-  Xoshiro256StarStar rng(324);
-  for (int i = 0; i < 8; ++i) {
-    const auto a = ring::Poly::random(rng, kQ);
-    const auto s = ring::SecretPoly::random(rng, 4);
-    checked->multiply_secret(a, s, kQ);
-  }
-  EXPECT_EQ(checked->fault_counters().checks, 2u);  // products 0 and 4
+/// Counter movement during `op`: attributes a detection to one specific call.
+template <class Op>
+FaultCounters counters_during(const FaultMonitor& monitor, Op&& op) {
+  const auto before = monitor.fault_counters();
+  op();
+  const auto after = monitor.fault_counters();
+  return {after.checks - before.checks, after.mismatches - before.mismatches,
+          after.retry_recoveries - before.retry_recoveries,
+          after.failovers - before.failovers};
 }
 
 // --- checked multiplier: concurrent monitor polling ------------------------
 
 // The FaultMonitor accessors must be safe to call from a monitoring thread
 // while a worker multiplies through the same instance — the supervisor's
-// status-polling pattern. Under the tsan preset this is the regression test
-// for the formerly unsynchronized mutable fault statistics; in any build the
-// pollers additionally assert the counter invariants every snapshot, so a
-// torn update that reorders checks/mismatches/recoveries is caught.
-TEST(CheckedMultiplier, MonitorPollingWhileMultiplyingIsThreadSafe) {
-  auto inj = injector_with({FaultSite::kProduct, FaultSpec::Kind::kTransient,
-                            /*bit=*/6, true, /*fire_at=*/5, 1, /*coeff=*/17});
-  CheckedMultiplier checked(
-      std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("karatsuba-8"), inj));
-
-  constexpr unsigned kIters = 48;
+// status-polling pattern. Both decorators keep their counters in the one
+// shared RecoveryLadder, so both are driven here. Under the tsan preset this
+// is the regression test for unsynchronized fault statistics; in any build
+// the pollers additionally assert the counter invariants every snapshot, so
+// a torn update that reorders checks/mismatches/recoveries is caught.
+template <class Multiply>
+bool consistent_while_polled(const FaultMonitor& monitor, unsigned iters,
+                             Multiply&& multiply) {
   std::atomic<bool> done{false};
   std::atomic<bool> consistent{true};
   std::thread writer([&] {
     Xoshiro256StarStar rng(327);
-    for (unsigned i = 0; i < kIters; ++i) {
+    for (unsigned i = 0; i < iters; ++i) {
       const auto a = ring::Poly::random(rng, kQ);
       const auto s = ring::SecretPoly::random(rng, 4);
-      checked.multiply_secret(a, s, kQ);
+      multiply(a, s);
     }
     done.store(true);
   });
@@ -263,23 +246,46 @@ TEST(CheckedMultiplier, MonitorPollingWhileMultiplyingIsThreadSafe) {
   for (int t = 0; t < 3; ++t) {
     pollers.emplace_back([&] {
       while (!done.load()) {
-        const auto c = checked.fault_counters();
+        const auto c = monitor.fault_counters();
         if (c.mismatches > c.checks || c.recoveries() > c.mismatches) {
           consistent.store(false);
         }
-        (void)checked.fault_log();
       }
     });
   }
   writer.join();
   for (auto& p : pollers) p.join();
+  return consistent.load();
+}
 
-  EXPECT_TRUE(consistent.load());
+TEST(CheckedMultiplier, MonitorPollingWhileMultiplyingIsThreadSafe) {
+  auto inj = injector_with({FaultSite::kProduct, FaultSpec::Kind::kTransient,
+                            /*bit=*/6, true, /*fire_at=*/5, 1, /*coeff=*/17});
+  CheckedMultiplier checked(
+      std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("karatsuba-8"), inj));
+  constexpr unsigned kIters = 48;
+  EXPECT_TRUE(consistent_while_polled(
+      checked, kIters, [&](const ring::Poly& a, const ring::SecretPoly& s) {
+        checked.multiply_secret(a, s, kQ);
+      }));
   const auto c = checked.fault_counters();
   EXPECT_EQ(c.checks, kIters);
   EXPECT_EQ(c.mismatches, 1u);  // the one injected transient
   EXPECT_EQ(c.retry_recoveries, 1u);
-  EXPECT_EQ(checked.fault_log().size(), 1u);
+
+  auto faulty = std::make_unique<FaultyHwMultiplier>("hs1-256");
+  faulty->injector().arm({FaultSite::kProduct, FaultSpec::Kind::kTransient,
+                          /*bit=*/6, true, /*fire_at=*/3, 1, /*coeff=*/17});
+  CheckedHwMultiplier checked_hw(std::move(faulty));
+  constexpr unsigned kHwIters = 8;
+  EXPECT_TRUE(consistent_while_polled(
+      checked_hw, kHwIters, [&](const ring::Poly& a, const ring::SecretPoly& s) {
+        checked_hw.multiply(a, s);
+      }));
+  const auto h = checked_hw.fault_counters();
+  EXPECT_EQ(h.checks, kHwIters);
+  EXPECT_EQ(h.mismatches, 1u);
+  EXPECT_EQ(h.retry_recoveries, 1u);
 }
 
 // --- checked multiplier: detection and recovery ----------------------------
@@ -293,12 +299,13 @@ TEST(CheckedMultiplier, TransientFaultIsDetectedAndCuredByRetry) {
   Xoshiro256StarStar rng(325);
   const auto a = ring::Poly::random(rng, kQ);
   const auto s = ring::SecretPoly::random(rng, 4);
-  EXPECT_EQ(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ));
-  EXPECT_EQ(checked.fault_counters().mismatches, 1u);
-  EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u);
-  EXPECT_EQ(checked.fault_counters().failovers, 0u);
-  ASSERT_EQ(checked.fault_log().size(), 1u);
-  EXPECT_EQ(checked.fault_log()[0].resolution, FaultRecord::Resolution::kRetry);
+  const auto d = counters_during(checked, [&] {
+    EXPECT_EQ(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ));
+  });
+  EXPECT_EQ(d.checks, 1u);
+  EXPECT_EQ(d.mismatches, 1u);
+  EXPECT_EQ(d.retry_recoveries, 1u);
+  EXPECT_EQ(d.failovers, 0u);
 }
 
 TEST(CheckedMultiplier, PermanentFaultIsDetectedAndCuredByFailover) {
@@ -318,8 +325,8 @@ TEST(CheckedMultiplier, PermanentFaultIsDetectedAndCuredByFailover) {
 }
 
 TEST(CheckedMultiplier, SplitTransformFaultIsDetectedInFinalize) {
-  // The fault strikes the finalize() output of the accumulated product — the
-  // path KEM matrix/inner products take. Retry re-derives the whole inner
+  // The fault strikes the witness of the first accumulated row — the path
+  // KEM matrix/inner products take. Retry re-derives the whole inner
   // pipeline, so a transient is cured.
   auto inj = injector_with({FaultSite::kProduct, FaultSpec::Kind::kTransient,
                             /*bit=*/3, true, /*fire_at=*/0, 1, /*coeff=*/8});
@@ -330,12 +337,30 @@ TEST(CheckedMultiplier, SplitTransformFaultIsDetectedInFinalize) {
   const std::size_t l = 3;
   const auto a = random_matrix(l, rng, kQ);
   const auto s = random_secrets(l, rng, 4);
-  EXPECT_EQ(mult::matrix_vector_mul(a, s, checked, kQ, false),
-            mult::matrix_vector_mul(a, s, *raw, kQ, false));
-  EXPECT_EQ(checked.fault_counters().mismatches, 1u);
-  EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u);
-  ASSERT_GE(checked.fault_log().size(), 1u);
-  EXPECT_EQ(checked.fault_log()[0].path, FaultRecord::Path::kFinalize);
+
+  // Prepare and accumulate every row first: nothing is verified before
+  // finalize, so the detection must land inside the first finalize call.
+  std::vector<mult::Transformed> rows;
+  for (std::size_t r = 0; r < l; ++r) {
+    auto acc = checked.make_accumulator();
+    for (std::size_t c = 0; c < l; ++c) {
+      checked.pointwise_accumulate(acc, checked.prepare_public(a.at(r, c), kQ),
+                                   checked.prepare_secret(s[c], kQ));
+    }
+    rows.push_back(std::move(acc));
+  }
+  EXPECT_EQ(checked.fault_counters().checks, 0u);
+  for (std::size_t r = 0; r < l; ++r) {
+    ring::Poly expect{};
+    for (std::size_t c = 0; c < l; ++c) {
+      ring::add_inplace(expect, raw->multiply_secret(a.at(r, c), s[c], kQ), kQ);
+    }
+    const auto d = counters_during(
+        checked, [&] { EXPECT_EQ(checked.finalize(rows[r], kQ), expect) << r; });
+    EXPECT_EQ(d.checks, 1u) << r;
+    EXPECT_EQ(d.mismatches, r == 0 ? 1u : 0u) << r;
+    EXPECT_EQ(d.retry_recoveries, r == 0 ? 1u : 0u) << r;
+  }
 }
 
 TEST(CheckedMultiplier, InconsistentReferenceRaisesFaultDetectedError) {
@@ -350,7 +375,7 @@ TEST(CheckedMultiplier, InconsistentReferenceRaisesFaultDetectedError) {
       mult::make_multiplier("schoolbook"),
       injector_with({FaultSite::kProduct, FaultSpec::Kind::kTransient,
                      /*bit=*/3, true, /*fire_at=*/0, 1, /*coeff=*/7}));
-  CheckedMultiplier checked(std::move(inner), {}, std::move(fallback));
+  CheckedMultiplier checked(std::move(inner), std::move(fallback));
   Xoshiro256StarStar rng(328);
   const auto a = ring::Poly::random(rng, kQ);
   const auto s = ring::SecretPoly::random(rng, 4);
@@ -676,102 +701,92 @@ TEST(PointChecker, RotatingRootsCatchAdversarialDefectAFixedRootMisses) {
   for (const bool b : seen) EXPECT_TRUE(b);
 }
 
-// --- algebraic check kinds (point-eval / Freivalds) -------------------------
+// --- the algebraic (Freivalds) check -----------------------------------------
 
 TEST(CheckedMultiplier, AlgebraicKindsBitIdenticalToRawWhenFaultFree) {
   Xoshiro256StarStar rng(920);
-  for (const CheckKind kind : {CheckKind::kPointEval, CheckKind::kFreivalds}) {
-    for (const auto name : {"schoolbook", "karatsuba-8", "toom3", "toom4", "ntt"}) {
-      const auto raw = mult::make_multiplier(name);
-      const auto checked = make_checked(name, {CheckPolicy::kFull, 8, kind});
-      for (int iter = 0; iter < 3; ++iter) {
-        const auto a = ring::Poly::random(rng, kQ);
-        const auto b = ring::Poly::random(rng, kQ);
-        EXPECT_EQ(checked->multiply(a, b, kQ), raw->multiply(a, b, kQ))
-            << name << " " << to_string(kind);
-      }
-      const auto s = ring::SecretPoly::random(rng, 4);
+  for (const auto name : {"schoolbook", "karatsuba-8", "toom3", "toom4", "ntt"}) {
+    const auto raw = mult::make_multiplier(name);
+    const auto checked = make_checked(name);
+    for (int iter = 0; iter < 3; ++iter) {
       const auto a = ring::Poly::random(rng, kQ);
-      EXPECT_EQ(checked->multiply_secret(a, s, kQ), raw->multiply_secret(a, s, kQ))
-          << name << " " << to_string(kind);
-      EXPECT_GE(checked->fault_counters().checks, 4u);
-      EXPECT_EQ(checked->fault_counters().mismatches, 0u)
-          << name << " " << to_string(kind);
+      const auto b = ring::Poly::random(rng, kQ);
+      EXPECT_EQ(checked->multiply(a, b, kQ), raw->multiply(a, b, kQ)) << name;
     }
+    const auto s = ring::SecretPoly::random(rng, 4);
+    const auto a = ring::Poly::random(rng, kQ);
+    EXPECT_EQ(checked->multiply_secret(a, s, kQ), raw->multiply_secret(a, s, kQ))
+        << name;
+    EXPECT_GE(checked->fault_counters().checks, 4u);
+    EXPECT_EQ(checked->fault_counters().mismatches, 0u) << name;
   }
 }
 
 TEST(CheckedMultiplier, AlgebraicSplitPathMatchesRawMatvec) {
   Xoshiro256StarStar rng(921);
-  for (const CheckKind kind : {CheckKind::kPointEval, CheckKind::kFreivalds}) {
-    const std::size_t l = 3;
-    const auto a = random_matrix(l, rng, kQ);
-    const auto s = random_secrets(l, rng, 4);
-    const auto raw = mult::make_multiplier("toom4");
-    const auto checked = make_checked("toom4", {CheckPolicy::kFull, 8, kind});
-    EXPECT_EQ(mult::matrix_vector_mul(a, s, *checked, kQ, false),
-              mult::matrix_vector_mul(a, s, *raw, kQ, false))
-        << to_string(kind);
-    EXPECT_GE(checked->fault_counters().checks, l);
-    EXPECT_EQ(checked->fault_counters().mismatches, 0u) << to_string(kind);
-  }
+  const std::size_t l = 3;
+  const auto a = random_matrix(l, rng, kQ);
+  const auto s = random_secrets(l, rng, 4);
+  const auto raw = mult::make_multiplier("toom4");
+  const auto checked = make_checked("toom4");
+  EXPECT_EQ(mult::matrix_vector_mul(a, s, *checked, kQ, false),
+            mult::matrix_vector_mul(a, s, *raw, kQ, false));
+  EXPECT_GE(checked->fault_counters().checks, l);
+  EXPECT_EQ(checked->fault_counters().mismatches, 0u);
 }
 
 TEST(CheckedMultiplier, AlgebraicKindsDetectAndRetryTransientWitnessFaults) {
   Xoshiro256StarStar rng(922);
   mult::SchoolbookMultiplier ref;
-  for (const CheckKind kind : {CheckKind::kPointEval, CheckKind::kFreivalds}) {
-    auto inj = std::make_shared<FaultInjector>(17);
-    inj->arm(inj->random_product_transient(kQ, /*max_ordinal=*/1));
-    CheckedMultiplier checked(
-        std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom4"), inj),
-        {CheckPolicy::kFull, 8, kind});
-    const auto a = ring::Poly::random(rng, kQ);
-    const auto s = ring::SecretPoly::random(rng, 4);
-    EXPECT_EQ(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ))
-        << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().mismatches, 1u) << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u) << to_string(kind);
-  }
+  auto inj = std::make_shared<FaultInjector>(17);
+  inj->arm(inj->random_product_transient(kQ, /*max_ordinal=*/1));
+  CheckedMultiplier checked(
+      std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom4"), inj));
+  const auto a = ring::Poly::random(rng, kQ);
+  const auto s = ring::SecretPoly::random(rng, 4);
+  EXPECT_EQ(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ));
+  EXPECT_EQ(checked.fault_counters().mismatches, 1u);
+  EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u);
 }
 
 TEST(CheckedMultiplier, AlgebraicKindsFailOverOnPermanentFaults) {
   Xoshiro256StarStar rng(923);
   mult::SchoolbookMultiplier ref;
-  for (const CheckKind kind : {CheckKind::kPointEval, CheckKind::kFreivalds}) {
-    auto inj = injector_with(FaultSpec::permanent_flip(FaultSite::kProduct, 6, 41));
-    CheckedMultiplier checked(
-        std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom4"), inj),
-        {CheckPolicy::kFull, 8, kind});
-    const auto a = ring::Poly::random(rng, kQ);
-    const auto s = ring::SecretPoly::random(rng, 4);
-    EXPECT_EQ(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ))
-        << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().mismatches, 1u) << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().failovers, 1u) << to_string(kind);
-  }
+  auto inj = injector_with(FaultSpec::permanent_flip(FaultSite::kProduct, 6, 41));
+  CheckedMultiplier checked(
+      std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("toom4"), inj));
+  const auto a = ring::Poly::random(rng, kQ);
+  const auto s = ring::SecretPoly::random(rng, 4);
+  EXPECT_EQ(checked.multiply_secret(a, s, kQ), ref.multiply_secret(a, s, kQ));
+  EXPECT_EQ(checked.fault_counters().mismatches, 1u);
+  EXPECT_EQ(checked.fault_counters().failovers, 1u);
 }
 
 TEST(CheckedMultiplier, AlgebraicFinalizeDetectsAccumulatedRowFaults) {
+  // One accumulated inner product of l terms, checked by the cached-operand
+  // Freivalds identity; the transient strikes its witness.
   Xoshiro256StarStar rng(924);
-  for (const CheckKind kind : {CheckKind::kPointEval, CheckKind::kFreivalds}) {
-    auto inj = injector_with({FaultSite::kProduct, FaultSpec::Kind::kTransient,
-                              /*bit=*/3, true, /*fire_at=*/0, 1, /*coeff=*/8});
-    CheckedMultiplier checked(
-        std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("ntt"), inj),
-        {CheckPolicy::kFull, 8, kind});
-    const auto raw = mult::make_multiplier("ntt");
-    const std::size_t l = 3;
-    const auto a = random_matrix(l, rng, kQ);
-    const auto s = random_secrets(l, rng, 4);
-    EXPECT_EQ(mult::matrix_vector_mul(a, s, checked, kQ, false),
-              mult::matrix_vector_mul(a, s, *raw, kQ, false))
-        << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().mismatches, 1u) << to_string(kind);
-    EXPECT_EQ(checked.fault_counters().retry_recoveries, 1u) << to_string(kind);
-    ASSERT_GE(checked.fault_log().size(), 1u);
-    EXPECT_EQ(checked.fault_log()[0].path, FaultRecord::Path::kFinalize);
+  auto inj = injector_with({FaultSite::kProduct, FaultSpec::Kind::kTransient,
+                            /*bit=*/3, true, /*fire_at=*/0, 1, /*coeff=*/8});
+  CheckedMultiplier checked(
+      std::make_unique<FaultyPolyMultiplier>(mult::make_multiplier("ntt"), inj));
+  const auto raw = mult::make_multiplier("ntt");
+  const std::size_t l = 3;
+  auto acc = checked.make_accumulator();
+  ring::Poly expect{};
+  for (std::size_t k = 0; k < l; ++k) {
+    const auto a = ring::Poly::random(rng, kQ);
+    const auto s = ring::SecretPoly::random(rng, 4);
+    checked.pointwise_accumulate(acc, checked.prepare_public(a, kQ),
+                                 checked.prepare_secret(s, kQ));
+    ring::add_inplace(expect, raw->multiply_secret(a, s, kQ), kQ);
   }
+  const auto d = counters_during(
+      checked, [&] { EXPECT_EQ(checked.finalize(acc, kQ), expect); });
+  EXPECT_EQ(d.checks, 1u);
+  EXPECT_EQ(d.mismatches, 1u);
+  EXPECT_EQ(d.retry_recoveries, 1u);
+  EXPECT_EQ(d.failovers, 0u);
 }
 
 // --- architecture-routed fault campaigns ------------------------------------
@@ -845,14 +860,15 @@ TEST(CycleWatchdog, ArchitecturesReproduceTheirHeadlineBudgets) {
   for (const auto name :
        {"lw4", "lw8", "lw16", "hs1-256", "hs1-512", "hs2", "baseline-256",
         "baseline-512"}) {
-    CheckedHwMultiplier checked(arch::make_architecture(name),
-                                {CheckPolicy::kOff, 8, CheckKind::kReference});
+    CheckedHwMultiplier checked(arch::make_architecture(name));
     for (int i = 0; i < 2; ++i) {
       const auto a = ring::Poly::random(rng, kQ);
       const auto s = ring::SecretPoly::random(rng, 4);
       checked.multiply(a, s);
     }
     EXPECT_EQ(checked.cycle_violations(), 0u) << name;
+    EXPECT_EQ(checked.fault_counters().checks, 2u) << name;
+    EXPECT_EQ(checked.fault_counters().mismatches, 0u) << name;
   }
 }
 
