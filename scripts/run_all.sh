@@ -16,6 +16,13 @@ scripts/static_analysis.sh 2>&1 | tee test_output.txt
 
 ctest --test-dir build-release 2>&1 | tee -a test_output.txt
 
+# The repository benchmark's own correctness gate: perfbench unit tests, a
+# smoke run of every workload with full verification (coprocessor outputs
+# byte-identical to software, repeatable model cycles) and the canary run
+# that must fail. It covers the simulator primitives (BRAM ports, MAC steps)
+# the cycle-model workloads execute.
+python3 perfbench/run.py --self-test 2>&1 | tee -a test_output.txt
+
 # Deeper randomized conformance sweep than the tier-1 default (4 iters): every
 # backend and every architecture core against schoolbook, failing iterations
 # report their replay seed.

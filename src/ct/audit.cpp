@@ -103,7 +103,7 @@ TPoly mul_toom(const TPoly& a, const TSecretPoly& s, unsigned qbits, unsigned pa
         std::span<const TW>(eb).subspan(i * part, part),
         std::span<TW>(prods).subspan(static_cast<std::size_t>(i) * (2 * part - 1),
                                      2 * part - 1),
-        /*levels=*/32, ops);
+        mult::kToomPointLevels, ops);
   }
 
   std::vector<TW> out(2 * t.padded_len - 1, TW{0});

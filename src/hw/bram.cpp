@@ -5,60 +5,7 @@
 namespace saber::hw {
 
 Bram64::Bram64(std::size_t words, unsigned ports) : mem_(words, 0), ports_(ports) {
-  SABER_REQUIRE(ports >= 1 && ports <= 4, "modeled BRAM banks: 1..4");
-}
-
-void Bram64::read(std::size_t addr) {
-  SABER_REQUIRE(pending_reads_.size() < ports_,
-                "BRAM read-port conflict: too many reads in one cycle");
-  SABER_REQUIRE(addr < mem_.size(), "BRAM read out of range");
-  pending_reads_.push_back(addr);
-  ++reads_;
-  if (tracing_) trace_.push_back({cycle_, Access::Kind::kRead, addr});
-}
-
-void Bram64::write(std::size_t addr, u64 value) {
-  SABER_REQUIRE(pending_writes_.size() < ports_,
-                "BRAM write-port conflict: too many writes in one cycle");
-  SABER_REQUIRE(addr < mem_.size(), "BRAM write out of range");
-  for (const auto& w : pending_writes_) {
-    SABER_REQUIRE(w.addr != addr, "BRAM write-port conflict: same address twice");
-  }
-  pending_writes_.push_back({addr, value});
-  ++writes_;
-  if (tracing_) trace_.push_back({cycle_, Access::Kind::kWrite, addr});
-}
-
-void Bram64::tick() {
-  // Reads latch pre-write contents (read-first mode). The fault hook sits on
-  // the data paths: read data before latching, write data before commit.
-  latched_.clear();
-  latched_xor_.clear();
-  for (const auto addr : pending_reads_) {
-    u64 v = mem_[addr];
-    if (fault_hook_) v = fault_hook_->on_bram_read(addr, v);
-    latched_.push_back(v);
-    latched_xor_.push_back(v ^ mem_[addr]);
-  }
-  for (const auto& w : pending_writes_) {
-    u64 v = w.value;
-    if (fault_hook_) v = fault_hook_->on_bram_write(w.addr, v);
-    mem_[w.addr] = v;
-  }
-  pending_reads_.clear();
-  pending_writes_.clear();
-  ++cycle_;
-}
-
-u64 Bram64::read_data(std::size_t i) const {
-  SABER_REQUIRE(i < latched_.size(), "BRAM read_data with no such read last cycle");
-  return latched_[i];
-}
-
-u64 Bram64::read_fault_xor(std::size_t i) const {
-  SABER_REQUIRE(i < latched_xor_.size(),
-                "BRAM read_fault_xor with no such read last cycle");
-  return latched_xor_[i];
+  SABER_REQUIRE(ports >= 1 && ports <= kMaxPorts, "modeled BRAM banks: 1..4");
 }
 
 u64 Bram64::peek(std::size_t addr) const {

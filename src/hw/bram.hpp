@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/check.hpp"
+#include "common/fixed_list.hpp"
 #include "hw/fault_hook.hpp"
 
 namespace saber::hw {
@@ -27,21 +29,62 @@ class Bram64 {
   std::size_t size() const { return mem_.size(); }
   unsigned ports() const { return ports_; }
 
+  // The per-cycle port operations below are inline: every architecture model
+  // issues them on each simulated cycle.
+
   /// Issue a read of `addr`; data is visible via read_data() after tick().
-  void read(std::size_t addr);
+  void read(std::size_t addr) {
+    SABER_REQUIRE(pending_reads_.size() < ports_,
+                  "BRAM read-port conflict: too many reads in one cycle");
+    SABER_REQUIRE(addr < mem_.size(), "BRAM read out of range");
+    pending_reads_.push_back(addr);
+    ++reads_;
+    if (tracing_) trace_.push_back({cycle_, Access::Kind::kRead, addr});
+  }
 
   /// Issue a write; committed at tick().
-  void write(std::size_t addr, u64 value);
+  void write(std::size_t addr, u64 value) {
+    SABER_REQUIRE(pending_writes_.size() < ports_,
+                  "BRAM write-port conflict: too many writes in one cycle");
+    SABER_REQUIRE(addr < mem_.size(), "BRAM write out of range");
+    for (const auto& w : pending_writes_) {
+      SABER_REQUIRE(w.addr != addr, "BRAM write-port conflict: same address twice");
+    }
+    pending_writes_.push_back({addr, value});
+    ++writes_;
+    if (tracing_) trace_.push_back({cycle_, Access::Kind::kWrite, addr});
+  }
 
   std::size_t reads_issued() const { return pending_reads_.size(); }
   std::size_t writes_issued() const { return pending_writes_.size(); }
 
   /// Advance one clock edge: commit pending writes, latch read data.
-  /// Reads see pre-write contents (read-first mode).
-  void tick();
+  /// Reads see pre-write contents (read-first mode). The fault hook sits on
+  /// the data paths: read data before latching, write data before commit.
+  void tick() {
+    latched_.clear();
+    latched_xor_.clear();
+    for (const auto addr : pending_reads_) {
+      u64 v = mem_[addr];
+      if (fault_hook_) v = fault_hook_->on_bram_read(addr, v);
+      latched_.push_back(v);
+      latched_xor_.push_back(v ^ mem_[addr]);
+    }
+    for (const auto& w : pending_writes_) {
+      u64 v = w.value;
+      if (fault_hook_) v = fault_hook_->on_bram_write(w.addr, v);
+      mem_[w.addr] = v;
+    }
+    pending_reads_.clear();
+    pending_writes_.clear();
+    ++cycle_;
+  }
 
   /// Data of the i-th read issued in the previous cycle.
-  u64 read_data(std::size_t i = 0) const;
+  u64 read_data(std::size_t i = 0) const {
+    SABER_REQUIRE(i < latched_.size(), "BRAM read_data with no such read last cycle");
+    return latched_[i];
+  }
   std::size_t reads_completed() const { return latched_.size(); }
 
   /// Bits the fault hook flipped in the i-th read latched last cycle (zero
@@ -49,7 +92,11 @@ class Bram64 {
   /// architecture with a memory-resident accumulator apply a read upset to
   /// its internal mirror exactly: fault-free this is all-zero, so mirroring
   /// the XOR is provably a no-op.
-  u64 read_fault_xor(std::size_t i = 0) const;
+  u64 read_fault_xor(std::size_t i = 0) const {
+    SABER_REQUIRE(i < latched_xor_.size(),
+                  "BRAM read_fault_xor with no such read last cycle");
+    return latched_xor_[i];
+  }
 
   // Backdoor access for test setup and result extraction (not cycle-counted,
   // does not use the ports).
@@ -83,16 +130,19 @@ class Bram64 {
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
 
  private:
+  /// Modeled banks, hence the per-cycle port queues' capacity.
+  static constexpr unsigned kMaxPorts = 4;
+
   struct Write {
     std::size_t addr;
     u64 value;
   };
   std::vector<u64> mem_;
   unsigned ports_;
-  std::vector<std::size_t> pending_reads_;
-  std::vector<Write> pending_writes_;
-  std::vector<u64> latched_;
-  std::vector<u64> latched_xor_;
+  FixedList<std::size_t, kMaxPorts> pending_reads_;
+  FixedList<Write, kMaxPorts> pending_writes_;
+  FixedList<u64, kMaxPorts> latched_;
+  FixedList<u64, kMaxPorts> latched_xor_;
   u64 reads_ = 0;
   u64 writes_ = 0;
   u64 cycle_ = 0;

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/bits.hpp"
+#include "common/check.hpp"
 #include "hw/fault_hook.hpp"
 
 namespace saber::hw {
@@ -15,7 +16,23 @@ namespace saber::hw {
 /// one addition — the multiplier inside each MAC of the [10] baseline.
 /// Magnitudes up to 5 are supported (LightSaber needs 5; the paper's Alg. 2
 /// targets Saber's 0..4).
-u16 shift_add_multiple(u16 a, unsigned mag, unsigned qbits);
+///
+/// This and the other per-cycle primitives below are inline: the LW and
+/// HS-I models call them once per MAC per simulated cycle.
+inline u16 shift_add_multiple(u16 a, unsigned mag, unsigned qbits) {
+  SABER_REQUIRE(mag <= 5, "shift-add multiplier supports magnitudes 0..5");
+  const u32 v = static_cast<u32>(low_bits(a, qbits));
+  u32 r = 0;
+  switch (mag) {
+    case 0: r = 0; break;
+    case 1: r = v; break;
+    case 2: r = v << 1; break;            // wired shift
+    case 3: r = v + (v << 1); break;      // one adder
+    case 4: r = v << 2; break;            // wired shift
+    case 5: r = v + (v << 2); break;      // one adder (LightSaber extension)
+  }
+  return static_cast<u16>(low_bits(r, qbits));
+}
 
 /// The centralized multiple generator of §3.1: all multiples
 /// {0, a, 2a, 3a, 4a, 5a} computed once and broadcast to every MAC, which
@@ -23,10 +40,18 @@ u16 shift_add_multiple(u16 a, unsigned mag, unsigned qbits);
 class MultipleSet {
  public:
   MultipleSet() = default;
-  MultipleSet(u16 a, unsigned qbits, unsigned max_mag = 4);
+  MultipleSet(u16 a, unsigned qbits, unsigned max_mag = 4) : max_mag_(max_mag) {
+    SABER_REQUIRE(max_mag >= 1 && max_mag <= 5, "unsupported magnitude range");
+    for (unsigned m = 0; m <= max_mag; ++m) {
+      multiples_[m] = shift_add_multiple(a, m, qbits);
+    }
+  }
 
   /// Multiple selected by the secret magnitude (the MAC-internal mux).
-  u16 select(unsigned mag) const;
+  u16 select(unsigned mag) const {
+    SABER_REQUIRE(mag <= max_mag_, "magnitude outside precomputed set");
+    return multiples_[mag];
+  }
 
   unsigned max_mag() const { return max_mag_; }
 
@@ -36,12 +61,21 @@ class MultipleSet {
 };
 
 /// One MAC accumulate step: acc + sign * multiple mod 2^qbits.
-u16 mac_accumulate(u16 acc, u16 multiple, bool negative, unsigned qbits);
+inline u16 mac_accumulate(u16 acc, u16 multiple, bool negative, unsigned qbits) {
+  const u32 q = u32{1} << qbits;
+  const u32 m = static_cast<u32>(low_bits(multiple, qbits));
+  const u32 r = negative ? static_cast<u32>(acc) + q - m : static_cast<u32>(acc) + m;
+  return static_cast<u16>(low_bits(r, qbits));
+}
 
 /// As above, with an optional fault hook on the sum (modeling a stuck-at or
 /// transient bit in the MAC's accumulator adder). Null hook = fault-free.
-u16 mac_accumulate(u16 acc, u16 multiple, bool negative, unsigned qbits,
-                   FaultHook* hook);
+inline u16 mac_accumulate(u16 acc, u16 multiple, bool negative, unsigned qbits,
+                          FaultHook* hook) {
+  u16 r = mac_accumulate(acc, multiple, negative, qbits);
+  if (hook) r = static_cast<u16>(low_bits(hook->on_mac_accumulate(r, qbits), qbits));
+  return r;
+}
 
 /// Cycle accounting for one polynomial multiplication, split the way the
 /// paper discusses overheads (§4.1: pure multiplication vs memory accesses).

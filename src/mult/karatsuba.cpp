@@ -23,9 +23,10 @@ ring::Poly KaratsubaMultiplier::multiply(const ring::Poly& a, const ring::Poly& 
 
 void KaratsubaMultiplier::conv_accumulate(std::span<const i64> a, std::span<const i64> s,
                                           std::span<i64> acc) const {
-  // karatsuba_rec_g accumulates into a zeroed buffer, so it can add straight
-  // into the batch accumulator with no scratch product buffer.
-  karatsuba_acc_g(a, s, acc, levels_, ops_);
+  // The recursion accumulates, so it adds straight into the batch
+  // accumulator; the arena is the call's one allocation.
+  std::vector<i64> scratch(karatsuba_scratch_len(a.size(), levels_));
+  karatsuba_acc_g(a, s, acc, levels_, std::span<i64>(scratch), ops_);
 }
 
 }  // namespace saber::mult

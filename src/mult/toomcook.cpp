@@ -180,20 +180,26 @@ void ToomCookMultiplier::conv(std::span<const i64> a, std::span<const i64> b,
   const auto ea = toom_evaluate_g(a, tables_, ops_);
   const auto eb = toom_evaluate_g(b, tables_, ops_);
 
-  // Pairwise products at each point; Karatsuba on the sub-multiplications,
-  // as in the layered software multipliers [6].
   std::vector<i64> prods(static_cast<std::size_t>(tables_.points) * (2 * part - 1), 0);
-  for (unsigned i = 0; i < tables_.points; ++i) {
-    karatsuba_conv(std::span<const i64>(ea).subspan(i * part, part),
-                   std::span<const i64>(eb).subspan(i * part, part),
-                   std::span<i64>(prods).subspan(
-                       static_cast<std::size_t>(i) * (2 * part - 1), 2 * part - 1),
-                   /*levels=*/32, ops_);
-  }
+  accumulate_point_products(ea, eb, prods);
 
   // Interpolate the limb products W_0..W_{2k-2} and recombine at x^part.
   std::ranges::fill(out, 0);
   toom_interpolate_acc_g(std::span<const i64>(prods), part, tables_, out, ops_);
+}
+
+void ToomCookMultiplier::accumulate_point_products(std::span<const i64> ea,
+                                                   std::span<const i64> eb,
+                                                   std::span<i64> acc) const {
+  // Karatsuba on the sub-multiplications, as in the layered software
+  // multipliers [6]. One arena serves every point: the call's one allocation.
+  const std::size_t part = ea.size() / tables_.points;
+  std::vector<i64> scratch(karatsuba_scratch_len(part, kToomPointLevels));
+  for (unsigned i = 0; i < tables_.points; ++i) {
+    karatsuba_acc_g(ea.subspan(i * part, part), eb.subspan(i * part, part),
+                    acc.subspan(static_cast<std::size_t>(i) * (2 * part - 1), 2 * part - 1),
+                    kToomPointLevels, std::span<i64>(scratch), ops_);
+  }
 }
 
 Transformed ToomCookMultiplier::prepare_public(const ring::Poly& a,
@@ -224,13 +230,7 @@ void ToomCookMultiplier::pointwise_accumulate(Transformed& acc, const Transforme
                 "operand not in this Toom-Cook transform domain");
   SABER_REQUIRE(acc.size() == static_cast<std::size_t>(tables_.points) * (2 * part - 1),
                 "accumulator not in this Toom-Cook transform domain");
-  for (unsigned i = 0; i < tables_.points; ++i) {
-    karatsuba_acc_g(std::span<const i64>(a).subspan(i * part, part),
-                    std::span<const i64>(s).subspan(i * part, part),
-                    std::span<i64>(acc).subspan(
-                        static_cast<std::size_t>(i) * (2 * part - 1), 2 * part - 1),
-                    /*levels=*/32, ops_);
-  }
+  accumulate_point_products(a, s, acc);
   ops_.coeff_adds += static_cast<u64>(tables_.points) * (2 * part - 1);
 }
 

@@ -16,6 +16,7 @@
 // (multiply-only — no data-dependent division anywhere).
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "mult/karatsuba.hpp"
@@ -62,6 +63,13 @@ struct ToomTables {
   std::size_t part_len = 0;                   ///< padded_len / parts
 };
 
+/// Highest supported splitting order.
+inline constexpr unsigned kMaxToomParts = 4;
+
+/// Karatsuba depth under each point product: deep enough to reach
+/// 1-coefficient leaves for any part length the supported orders produce.
+inline constexpr unsigned kToomPointLevels = 32;
+
 /// Build (and cache) the tables for order 3 or 4.
 const ToomTables& toom_tables(unsigned parts);
 
@@ -74,9 +82,10 @@ std::vector<W> toom_evaluate_g(std::span<const W> p, const ToomTables& t,
                                OpCounts& ops) {
   const std::size_t part = p.size() / t.parts;
   SABER_REQUIRE(p.size() % t.parts == 0, "operand length not divisible by order");
+  SABER_REQUIRE(t.parts <= kMaxToomParts, "supported Toom-Cook orders: 3, 4");
   std::vector<W> evals(static_cast<std::size_t>(t.points) * part, W{0});
+  std::array<W, kMaxToomParts> limbs{};
   for (std::size_t k = 0; k < part; ++k) {
-    std::vector<W> limbs(t.parts);
     for (unsigned l = 0; l < t.parts; ++l) limbs[l] = p[l * part + k];
     for (std::size_t i = 0; i < t.eval_points.size(); ++i) {
       const i64 x = t.eval_points[i];
@@ -156,6 +165,11 @@ class ToomCookMultiplier : public PolyMultiplier {
  private:
   std::size_t padded_len() const { return tables_.padded_len; }
   std::size_t part_len() const { return tables_.part_len; }
+
+  /// Adds the pointwise products of two evaluated operands (points x part
+  /// limbs each) into the per-point segments of `acc`.
+  void accumulate_point_products(std::span<const i64> ea, std::span<const i64> eb,
+                                 std::span<i64> acc) const;
 
   const ToomTables& tables_;
   std::string name_;

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/check.hpp"
+#include "common/fixed_list.hpp"
 #include "ring/packing.hpp"
 
 namespace saber::arch {
@@ -57,8 +58,7 @@ MultiplierResult HighSpeedMultiplier::multiply(const ring::Poly& a,
   };
 
   // --- secret burst: 16 reads, data lags one cycle -------------------------
-  std::vector<u64> sec_words;
-  sec_words.reserve(MemoryMap::kSecretWords);
+  FixedList<u64, MemoryMap::kSecretWords> sec_words;
   for (std::size_t w = 0; w < MemoryMap::kSecretWords; ++w) {
     mem.read(MemoryMap::kSecretBase + w);
     run_cycle();
@@ -68,8 +68,7 @@ MultiplierResult HighSpeedMultiplier::multiply(const ring::Poly& a,
   st.preload += MemoryMap::kSecretWords + 1;
 
   // --- public preload: first 13-word chunk (64 coefficients) ---------------
-  std::vector<u64> pub_words;
-  pub_words.reserve(MemoryMap::kPublicWords);
+  FixedList<u64, MemoryMap::kPublicWords> pub_words;
   for (std::size_t w = 0; w < 13; ++w) {
     mem.read(MemoryMap::kPublicBase + w);
     run_cycle();

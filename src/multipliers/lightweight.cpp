@@ -4,6 +4,7 @@
 #include <array>
 
 #include "common/check.hpp"
+#include "common/fixed_list.hpp"
 #include "ring/packing.hpp"
 
 namespace saber::arch {
@@ -12,6 +13,16 @@ namespace {
 
 constexpr unsigned kQ = MemoryMap::kQBits;
 constexpr std::size_t kNn = ring::kN;
+
+/// Accumulator words one public coefficient's window can touch, for every
+/// MAC count (the window is always one 16-coefficient secret block).
+/// Contiguous, the 16 x 13 = 208-bit window spans ceil(208/64) = 4 words,
+/// plus 1 when it does not start on a word boundary. The negacyclic wrap
+/// splits it into two runs, one ending at the top of the accumulator and one
+/// starting at bit 0; allow one more word for that split. (The accumulator is
+/// 256 x 13 = 3,328 bits = 52 whole words, so the wrap is word-aligned and 5
+/// is the tight bound; the spare slot keeps the capacity independent of it.)
+constexpr std::size_t kMaxWindowWords = (16 * kQ + 63) / 64 + 2;
 
 }  // namespace
 
@@ -130,8 +141,7 @@ MultiplierResult LightweightMultiplier::multiply(const ring::Poly& a,
     std::array<i8, 16> sblk;
     for (unsigned m = 0; m < 16; ++m) sblk[m] = decode_secret(sec_word, m);
     // Preload the first two public words of the pass.
-    std::vector<u64> pub_words;
-    pub_words.reserve(MemoryMap::kPublicWords);
+    FixedList<u64, MemoryMap::kPublicWords> pub_words;
     mem.read(MemoryMap::kPublicBase + 0);
     run_cycle();
     pub_words.push_back(mem.read_data());
@@ -177,7 +187,7 @@ MultiplierResult LightweightMultiplier::multiply(const ring::Poly& a,
       }
 
       // ---- accumulator word list for this coefficient's window.
-      std::vector<std::size_t> words;
+      FixedList<std::size_t, kMaxWindowWords> words;
       for (unsigned m = 0; m < 16; ++m) {
         const std::size_t idx = (i + 16 * block + m) % kNn;
         const std::size_t w0 = (idx * kQ) / 64;
@@ -230,7 +240,7 @@ MultiplierResult LightweightMultiplier::multiply(const ring::Poly& a,
           resident.erase(resident.begin());
         }
         for (unsigned cyc = 0; cyc < compute; ++cyc) {
-          std::vector<std::size_t> issued;
+          FixedList<std::size_t, 4> issued;  // one read per bank, <= 4 banks
           for (unsigned p = 0; p < banks; ++p) {
             if (!pending_reads.empty()) {
               issued.push_back(pending_reads.front());

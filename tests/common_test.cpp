@@ -12,6 +12,7 @@
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
+#include "common/fixed_list.hpp"
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -133,6 +134,22 @@ TEST(Check, ThrowsWithLocation) {
     EXPECT_NE(std::string(e.what()).find("the message"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("common_test.cpp"), std::string::npos);
   }
+}
+
+TEST(FixedList, KeepsOrderAndRejectsOverflow) {
+  FixedList<int, 3> l;
+  l.push_back(4);
+  l.push_back(7);
+  EXPECT_EQ(std::vector<int>(l.begin(), l.end()), (std::vector<int>{4, 7}));
+  l.push_back(9);
+  EXPECT_EQ(l[2], 9);
+  // A capacity the schedule's structural bound got wrong is an invariant
+  // violation, never a write past the array.
+  EXPECT_THROW(l.push_back(1), ContractViolation);
+  EXPECT_EQ(l.size(), 3u);
+  l.clear();
+  EXPECT_EQ(l.size(), 0u);
+  EXPECT_EQ(l.begin(), l.end());
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {

@@ -159,6 +159,72 @@ TEST(Karatsuba, OpCountShrinksWithDepth) {
   KaratsubaMultiplier k8(8);
   k8.multiply(a, b, 13);
   EXPECT_EQ(k8.ops().coeff_mults, 6561u);
+  EXPECT_EQ(k8.ops().coeff_adds, 72382u);
+}
+
+TEST(Karatsuba, ScratchArenaSize) {
+  // Leaf: the 2n-1 schoolbook product; straight-line 2-coefficient node:
+  // nothing; inner node: 4n-3 of its own plus the deepest child's share.
+  EXPECT_EQ(karatsuba_scratch_len(256, 0), 511u);
+  EXPECT_EQ(karatsuba_scratch_len(3, 8), 5u);
+  EXPECT_EQ(karatsuba_scratch_len(2, 1), 0u);
+  EXPECT_EQ(karatsuba_scratch_len(4, 8), 13u);
+  EXPECT_EQ(karatsuba_scratch_len(256, 1), 1021u + 255u);
+  EXPECT_EQ(karatsuba_scratch_len(256, 8), 1021u + 509u + 253u + 125u + 61u + 29u + 13u);
+  // The arena's contents on entry are ignored: a dirty one gives the same sum.
+  OpCounts ops;
+  Xoshiro256StarStar rng(60);
+  std::vector<i64> x(16), y(16), acc(31, 7), ref(31);
+  for (auto& v : x) v = rng.uniform_range(-4096, 4095);
+  for (auto& v : y) v = rng.uniform_range(-4, 4);
+  std::vector<i64> dirty(karatsuba_scratch_len(16, 8), i64{0x5555});
+  karatsuba_acc_g(std::span<const i64>(x), std::span<const i64>(y), std::span<i64>(acc), 8,
+                  std::span<i64>(dirty), ops);
+  schoolbook_conv(x, y, ref, ops);
+  for (auto& v : ref) v += 7;
+  EXPECT_EQ(acc, ref);
+  // An undersized caller-owned arena is a contract violation, not an overrun.
+  std::vector<i64> a(8, 1), scratch(karatsuba_scratch_len(8, 3) - 1);
+  acc.assign(15, 0);
+  EXPECT_THROW(karatsuba_acc_g(std::span<const i64>(a), std::span<const i64>(a),
+                               std::span<i64>(acc), 3, std::span<i64>(scratch), ops),
+               ContractViolation);
+}
+
+// Op counts are data-independent and back the paper comparison (E5/A3), so
+// they are pinned exactly for every Karatsuba depth and Toom-Cook order, on
+// the one-shot multiply and on the split-transform path (prepare both
+// operands, one pointwise_accumulate, finalize).
+TEST(OpCounts, PinnedForKaratsubaAndToomCook) {
+  struct Pin {
+    std::string_view name;
+    u64 mults, adds;              // multiply()
+    u64 split_mults, split_adds;  // prepare/pointwise_accumulate/finalize
+  };
+  const Pin pins[] = {
+      {"karatsuba-1", 49152, 51448, 49152, 51448},
+      {"karatsuba-4", 20736, 35527, 20736, 35527},
+      {"karatsuba-8", 6561, 72382, 6561, 72382},
+      {"toom3", 33386, 37216, 33386, 38071},
+      {"toom4", 13630, 61853, 13630, 62742},
+  };
+  Xoshiro256StarStar rng(61);
+  const auto a = Poly::random(rng, 13);
+  const auto b = Poly::random(rng, 13);
+  const auto s = SecretPoly::random(rng, 4);
+  for (const auto& pin : pins) {
+    const auto m = make_multiplier(pin.name);
+    m->multiply(a, b, 13);
+    EXPECT_EQ(m->ops().coeff_mults, pin.mults) << pin.name;
+    EXPECT_EQ(m->ops().coeff_adds, pin.adds) << pin.name;
+
+    m->reset_ops();
+    auto acc = m->make_accumulator();
+    m->pointwise_accumulate(acc, m->prepare_public(a, 13), m->prepare_secret(s, 13));
+    m->finalize(acc, 13);
+    EXPECT_EQ(m->ops().coeff_mults, pin.split_mults) << pin.name;
+    EXPECT_EQ(m->ops().coeff_adds, pin.split_adds) << pin.name;
+  }
 }
 
 TEST(ToomCook, ExactOnWorstCase) {
@@ -181,6 +247,7 @@ TEST(ToomCook, SubMultiplicationCount) {
   EXPECT_EQ(t.ops().coeff_mults - 7u * 7u * 127u -  // interpolation weights
                 2u * 3u * 6u * 64u,                 // evaluation Horner steps
             5103u);
+  EXPECT_EQ(t.ops().coeff_adds, 61853u);
 }
 
 TEST(Ntt, PrimeAndRootAreValid) {
