@@ -17,6 +17,7 @@ using i8 = std::int8_t;
 using i16 = std::int16_t;
 using i32 = std::int32_t;
 using i64 = std::int64_t;
+__extension__ using u128 = unsigned __int128;
 
 /// Mask with the low `bits` bits set. `bits` must be <= 64.
 constexpr u64 mask64(unsigned bits) {

@@ -452,6 +452,22 @@ constexpr rebind_t<W, u64> rotl_g(const W& v, unsigned r) {
   return (x << r) | (x >> (64u - r));
 }
 
+/// High part of the full product: (u128(a) * b) >> s for the u64 analogs of
+/// a and b and a public s < 128, as a u64 analog tainted iff either operand
+/// is. The one wide-multiply primitive of the word-generic kernels (x86-64
+/// MUL/MULX; see docs/static_analysis.md on its latency).
+template <typename A, typename B>
+constexpr auto mul_shr_g(const A& a, const B& b, unsigned s) {
+  const u64 v = static_cast<u64>(
+      (static_cast<u128>(static_cast<u64>(detail::value_of(a))) *
+       static_cast<u64>(detail::value_of(b))) >> s);
+  if constexpr (is_tainted_v<A> || is_tainted_v<B>) {
+    return Tainted<u64>(v, detail::taint_of(a) || detail::taint_of(b));
+  } else {
+    return v;
+  }
+}
+
 /// All-ones u64 mask iff the sign bit of the i64 analog is set (branch-free
 /// "is negative" predicate; the usual building block for ct selects).
 template <typename W>

@@ -2,22 +2,25 @@
 //
 // Two families live here:
 //
-//  * the u128-based mulmod/powmod/invmod helpers, used only on PUBLIC data
-//    (twiddle-table construction, primality testing) — these may divide;
+//  * the mulmod/powmod/invmod helpers, used only on PUBLIC data (twiddle-
+//    table construction, primality testing) — these may divide;
 //  * word-generic, division-free arithmetic specialized to the Saber NTT
 //    prime p' = 2^41 + 10241, used on secret-dependent residues. The
 //    butterflies run these in production (plain u64) and under the ct_audit
 //    taint analysis (ct::Tainted<u64>), so they must never branch, divide,
-//    or index on the data. Reduction folds the identity 2^41 ≡ -10241
-//    (mod p') and finishes with a sign-mask conditional subtract.
+//    or index on the data. Products are native 64x64->128 multiplies (the
+//    high half through ct::mul_shr_g); reduction folds the identity
+//    2^41 ≡ -10241 (mod p') and finishes with a sign-mask conditional
+//    subtract. A product by a PUBLIC twiddle w uses Shoup's precomputed
+//    companion floor(w * 2^64 / p') instead (ntt_mul_shoup_g), which accepts
+//    any u64 input; that is what lets the butterflies run lazily on
+//    unreduced values (bounds in ntt.hpp).
 #pragma once
 
 #include "common/bits.hpp"
 #include "ct/tainted.hpp"
 
 namespace saber::mult {
-
-__extension__ using u128 = unsigned __int128;
 
 /// (a * b) mod m for m < 2^63. PUBLIC data only (hardware division).
 constexpr u64 mulmod(u64 a, u64 b, u64 m) {
@@ -67,29 +70,31 @@ constexpr W ntt_addmod_g(const W& a, const W& b) {
   return ntt_condsub_g(ct::cast<u64>(a + b));
 }
 
-/// (a - b) mod p' for a, b < p'.
-template <typename W>
-constexpr W ntt_submod_g(const W& a, const W& b) {
-  return ntt_condsub_g(ct::cast<u64>(a + kNttPrime - b));
-}
-
-/// (a * b) mod p' for a, b < p', with no division and no u128: split both
-/// operands at 21 bits (a = a1*2^21 + a0, a1 < 2^21 since a < 2^42), reduce
-/// the three partial products with the 2^41-fold, and recombine using
-/// 2^42 ≡ -2c (mod p'). The added constant 2c*p' keeps every intermediate a
-/// non-negative u64; the final sum is < 2^63 + 2^56 + 2^42 < 2^64.
+/// (a * b) mod p' for a, b < p'. One wide product a*b < 2^84, split at
+/// 2^41 into lo < 2^41 and hi < 2^43, folds to lo + 2^16 p' - c*hi with
+/// c = 10241: the offset 2^16 p' > 2^57 > c*hi keeps it a non-negative u64
+/// below 2^58, and one more fold plus a conditional subtract canonicalize.
 template <typename W>
 constexpr W ntt_mulmod_g(const W& a, const W& b) {
-  const auto a0 = ct::cast<u64>(a & mask64(21));
-  const auto a1 = ct::cast<u64>(a >> 21);
-  const auto b0 = ct::cast<u64>(b & mask64(21));
-  const auto b1 = ct::cast<u64>(b >> 21);
-  const auto lo = a0 * b0;                                    // < 2^42
-  const auto mid = ntt_condsub_g(ntt_fold_g(a1 * b0 + a0 * b1));  // < p'
-  const auto hi = ntt_condsub_g(ntt_fold_g(a1 * b1));             // < p'
-  const auto t =
-      lo + (mid << 21) + (2 * kNttPrimeC * kNttPrime - 2 * kNttPrimeC * hi);
-  return ntt_condsub_g(ntt_fold_g(t));
+  const auto lo = ct::cast<u64>((a * b) & mask64(41));
+  const auto hi = ct::mul_shr_g(a, b, 41);
+  return ntt_condsub_g(
+      ntt_fold_g(ct::cast<u64>(lo + (kNttPrime << 16) - kNttPrimeC * hi)));
+}
+
+/// Shoup companion of a PUBLIC constant w < p': floor(w * 2^64 / p').
+constexpr u64 ntt_shoup(u64 w) {
+  return static_cast<u64>((static_cast<u128>(w) << 64) / kNttPrime);
+}
+
+/// x * w mod p', lazily: a value < 2p' congruent to x * w, for ANY u64 x and
+/// a PUBLIC w < p' with w_shoup = ntt_shoup(w). The quotient estimate
+/// q = floor(x * w_shoup / 2^64) undershoots floor(x * w / p') by at most
+/// one, so x * w - q * p' (computed mod 2^64) lands in [0, 2p').
+template <typename W>
+constexpr W ntt_mul_shoup_g(const W& x, u64 w, u64 w_shoup) {
+  const auto q = ct::mul_shr_g(x, w_shoup, 64);
+  return ct::cast<u64>(x * w - q * kNttPrime);
 }
 
 /// Lift a centered value c (|c| < p'/2), given as the i64 analog of W, into

@@ -25,9 +25,12 @@ NttTables make_ntt_tables() {
   NttTables t;
   for (unsigned i = 0; i < n; ++i) {
     t.zetas[i] = powmod(psi, brv8(i), p);
+    t.zetas_shoup[i] = ntt_shoup(t.zetas[i]);
     t.zetas_inv[i] = powmod(psi_inv, brv8(i), p);
+    t.zetas_inv_shoup[i] = ntt_shoup(t.zetas_inv[i]);
   }
   t.n_inv = invmod_prime(n, p);
+  t.n_inv_shoup = ntt_shoup(t.n_inv);
   return t;
 }
 

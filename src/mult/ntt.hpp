@@ -13,6 +13,24 @@
 // public; only the lane values carry secrets), so the identical kernel runs
 // over plain u64 residues in production and ct::Tainted<u64> under the
 // secret-independence audit.
+//
+// Every twiddle product is a Shoup product (ntt_mul_shoup_g) against the
+// companions in NttTables, and the butterflies are lazy in Harvey's style:
+// no conditional subtract inside a stage. Shoup's precondition is only that
+// the twiddle is canonical; the multiplicand may be any u64, and the product
+// comes back below 2p'. With canonical inputs (< p'):
+//
+//  * forward: each Cooley-Tukey stage maps lanes < B to lanes < B + 2p'
+//    (X + T and X - T + 2p' with T < 2p'), so after the 8 stages every lane
+//    is < 17p' < 2^46; one ntt_fold_g + ntt_condsub_g per lane canonicalizes.
+//  * inverse: stage s (len = 2^s) takes lanes < B_s = 2^s p'; the sum lane
+//    doubles the bound, and the difference lane X - Y + B_s in (0, 2B_s)
+//    goes through a Shoup product back below 2p'. Lanes stay below
+//    2^8 p' < 2^50, and the closing n^-1 Shoup product plus one conditional
+//    subtract canonicalizes.
+//
+// Both transforms therefore return canonical residues in [0, p'), the same
+// values a fully reduced butterfly produces.
 #pragma once
 
 #include <array>
@@ -23,54 +41,65 @@
 namespace saber::mult {
 
 /// Twiddle factors in the order consumed by the Cooley-Tukey / Gentleman-
-/// Sande butterflies (powers of psi in bit-reversed order). Public data.
+/// Sande butterflies (powers of psi in bit-reversed order), each with its
+/// Shoup companion ntt_shoup(w) = floor(w * 2^64 / p'). Public data.
 struct NttTables {
   std::array<u64, ring::kN> zetas{};
+  std::array<u64, ring::kN> zetas_shoup{};
   std::array<u64, ring::kN> zetas_inv{};
+  std::array<u64, ring::kN> zetas_inv_shoup{};
   u64 n_inv = 0;
+  u64 n_inv_shoup = 0;
 };
 
 /// Build (once) and return the twiddle tables for kPrime / kGenerator.
 const NttTables& ntt_tables();
 
 /// Forward negacyclic NTT (psi-twisted, bit-reversed output) in place.
+/// Inputs must be canonical (< p'); outputs are canonical.
 template <typename W>
 void ntt_forward_g(std::array<W, ring::kN>& v, const NttTables& t, OpCounts& ops) {
   constexpr std::size_t n = ring::kN;
   std::size_t k = 1;
   for (std::size_t len = n / 2; len >= 1; len >>= 1) {
-    for (std::size_t start = 0; start < n; start += 2 * len) {
-      const u64 zeta = t.zetas[k++];
+    for (std::size_t start = 0; start < n; start += 2 * len, ++k) {
+      const u64 zeta = t.zetas[k];
+      const u64 zeta_shoup = t.zetas_shoup[k];
       for (std::size_t j = start; j < start + len; ++j) {
-        const W tw = ntt_mulmod_g(v[j + len], W{zeta});
-        v[j + len] = ntt_submod_g(v[j], tw);
-        v[j] = ntt_addmod_g(v[j], tw);
+        const W tw = ntt_mul_shoup_g(v[j + len], zeta, zeta_shoup);
+        v[j + len] = ct::cast<u64>(v[j] + 2 * kNttPrime - tw);
+        v[j] = ct::cast<u64>(v[j] + tw);
       }
     }
   }
+  for (auto& x : v) x = ntt_condsub_g(ntt_fold_g(x));
   ops.coeff_mults += n / 2 * 8;
   ops.coeff_adds += n * 8;
 }
 
-/// Inverse negacyclic NTT (bit-reversed input) in place.
+/// Inverse negacyclic NTT (bit-reversed input) in place. Inputs must be
+/// canonical (< p'); outputs are canonical.
 template <typename W>
 void ntt_inverse_g(std::array<W, ring::kN>& v, const NttTables& t, OpCounts& ops) {
   constexpr std::size_t n = ring::kN;
-  for (std::size_t len = 1; len < n; len <<= 1) {
+  u64 bound = kNttPrime;  // every lane is < bound entering the stage
+  for (std::size_t len = 1; len < n; len <<= 1, bound <<= 1) {
     // Mirror the forward stage exactly: the forward pass gave the g-th group
     // of the stage with this `len` the twiddle index N/(2*len) + g.
     const std::size_t k_base = n / (2 * len);
     std::size_t g = 0;
     for (std::size_t start = 0; start < n; start += 2 * len, ++g) {
       const u64 zeta_inv = t.zetas_inv[k_base + g];
+      const u64 zeta_inv_shoup = t.zetas_inv_shoup[k_base + g];
       for (std::size_t j = start; j < start + len; ++j) {
-        const W tw = v[j];
-        v[j] = ntt_addmod_g(tw, v[j + len]);
-        v[j + len] = ntt_mulmod_g(W{zeta_inv}, ntt_submod_g(tw, v[j + len]));
+        const W x = v[j];
+        v[j] = ct::cast<u64>(x + v[j + len]);
+        v[j + len] = ntt_mul_shoup_g(ct::cast<u64>(x + bound - v[j + len]), zeta_inv,
+                                     zeta_inv_shoup);
       }
     }
   }
-  for (auto& x : v) x = ntt_mulmod_g(x, W{t.n_inv});
+  for (auto& x : v) x = ntt_condsub_g(ntt_mul_shoup_g(x, t.n_inv, t.n_inv_shoup));
   ops.coeff_mults += n / 2 * 8 + n;
   ops.coeff_adds += n * 8;
 }

@@ -9,8 +9,6 @@
 
 namespace saber::robust {
 
-using mult::u128;
-
 namespace {
 
 constexpr std::size_t kTwoN = 2 * ring::kN;  // 512, the negacyclic order

@@ -12,6 +12,10 @@
 //
 //   SABER_CONFORMANCE_ITERS=64 SABER_CONFORMANCE_SEED=0x1234 ./conformance_test
 //
+// A third sweep checks the NTT kernel's lazy Shoup butterflies against the
+// naive O(N^2) transform (tests/ntt_reference.hpp) on random lanes mixed
+// with the lazy-bound extremes 0 and p'-1.
+//
 // The harness also pins Table 1: every `measured` row of the checked-in
 // table1.csv must reproduce bit-for-bit against a fresh run of the
 // corresponding core, so the paper's headline cycle counts can never drift
@@ -27,6 +31,7 @@
 #include "common/rng.hpp"
 #include "mult/strategy.hpp"
 #include "multipliers/hw_multiplier.hpp"
+#include "ntt_reference.hpp"
 
 namespace saber {
 namespace {
@@ -143,6 +148,31 @@ TEST(Conformance, SplitTransformPipelineAndWitnessMatchSchoolbook) {
           << m->name() << " witness is not exact (l=" << l << " qbits=" << qbits
           << " seed 0x" << std::hex << seed << ")";
     }
+  }
+}
+
+TEST(Conformance, NttTransformsMatchNaiveReference) {
+  const mult::NttMultiplier ntt;
+  const u64 base = base_seed();
+  for (std::size_t iter = 0; iter < iterations(); ++iter) {
+    const u64 seed = iter_seed(base, iter) ^ 0x277ULL;
+    Xoshiro256StarStar rng(seed);
+    // Each lane is uniform, 0 or p'-1 (the latter two push the lazy bounds).
+    ntt_ref::Vec in{};
+    for (auto& x : in) {
+      const u64 pick = rng.uniform(4);
+      x = pick == 0 ? 0 : pick == 1 ? ntt_ref::kP - 1 : rng.uniform(ntt_ref::kP);
+    }
+    auto fwd = in;
+    ntt.forward(fwd);
+    EXPECT_EQ(fwd, ntt_ref::forward(in))
+        << "forward NTT diverges from the naive transform (seed 0x" << std::hex
+        << seed << ")";
+    auto inv = in;
+    ntt.inverse(inv);
+    EXPECT_EQ(inv, ntt_ref::inverse(in))
+        << "inverse NTT diverges from the naive transform (seed 0x" << std::hex
+        << seed << ")";
   }
 }
 

@@ -237,6 +237,30 @@ TEST_F(TaintedTest, GenericHelpersMatchPlainResults) {
   EXPECT_EQ(total(), 0u);  // every helper is trap-free by construction
 }
 
+TEST_F(TaintedTest, MulShrPropagatesTaintForEveryOperandShape) {
+  const u64 a = 0xFEDCBA9876543210ULL;
+  const u64 b = 0x0123456789ABCDEFULL;
+  const u64 hi = static_cast<u64>((static_cast<u128>(a) * b) >> 64);
+  const u64 mid = static_cast<u64>((static_cast<u128>(a) * b) >> 41);
+  const Tainted<u64> ta(a, true);
+  const Tainted<u64> tb(b, true);
+
+  const auto tt = mul_shr_g(ta, tb, 64);
+  const auto tp = mul_shr_g(ta, b, 41);
+  const auto pt = mul_shr_g(a, tb, 64);
+  const auto pp = mul_shr_g(a, b, 41);
+  EXPECT_TRUE(tt.tainted());
+  EXPECT_TRUE(tp.tainted());
+  EXPECT_TRUE(pt.tainted());
+  static_assert(std::is_same_v<decltype(pp), const u64>);  // plain stays plain
+  EXPECT_FALSE(mul_shr_g(Tainted<u64>(a), Tainted<u64>(b), 64).tainted());
+  EXPECT_EQ(tt.raw(), hi);
+  EXPECT_EQ(tp.raw(), mid);
+  EXPECT_EQ(pt.raw(), hi);
+  EXPECT_EQ(pp, mid);
+  EXPECT_EQ(total(), 0u);
+}
+
 TEST_F(TaintedTest, CastRebindsWithoutTouchingTaint) {
   const Tainted<u16> t(300, true);
   const auto narrowed = cast<u8>(t);

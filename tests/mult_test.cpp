@@ -3,8 +3,10 @@
 // Toom-Cook-4 and the NTT must agree with it bit-for-bit on every modulus.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <span>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "mult/karatsuba.hpp"
@@ -13,6 +15,7 @@
 #include "mult/schoolbook.hpp"
 #include "mult/strategy.hpp"
 #include "mult/toomcook.hpp"
+#include "ntt_reference.hpp"
 
 namespace saber::mult {
 namespace {
@@ -265,6 +268,107 @@ TEST(Ntt, ForwardInverseRoundTrip) {
   EXPECT_NE(v, orig);  // transform moved the data
   ntt.inverse(v);
   EXPECT_EQ(v, orig);
+}
+
+// The lazy Shoup butterflies must reproduce the naive O(N^2) transform bit
+// for bit, canonical outputs included, on random lanes and on the inputs that
+// drive the lazy bounds hardest: every lane p'-1, 0/p'-1 alternating, and a
+// first stage whose Shoup products land in [p', 2p') against X = 0 lanes
+// (the case the forward butterfly's 2p' offset exists for).
+std::vector<std::array<u64, kN>> ntt_reference_inputs() {
+  constexpr u64 p = NttMultiplier::kPrime;
+  std::vector<std::array<u64, kN>> ins;
+  Xoshiro256StarStar rng(2501);
+  for (int r = 0; r < 3; ++r) {
+    std::array<u64, kN> v{};
+    for (auto& x : v) x = rng.uniform(p);
+    ins.push_back(v);
+  }
+  // Shoup's quotient estimate undershoots (T >= p') exactly when y * zeta
+  // mod p' is small against y; search y = r * zeta^-1 over small residues r.
+  const auto& t = ntt_tables();
+  const u64 zeta_inv = invmod_prime(t.zetas[1], p);
+  u64 y = 0;
+  for (u64 r = 1; r < 4096 && y == 0; ++r) {
+    const u64 cand = mulmod(r, zeta_inv, p);
+    if (ntt_mul_shoup_g(cand, t.zetas[1], t.zetas_shoup[1]) >= p) y = cand;
+  }
+  EXPECT_NE(y, 0u) << "no first-stage lane with a Shoup product >= p'";
+  std::array<u64, kN> top{}, alt{}, wide{};
+  for (std::size_t i = 0; i < kN; ++i) {
+    top[i] = p - 1;
+    alt[i] = i % 2 == 0 ? 0 : p - 1;
+    wide[i] = i < kN / 2 ? 0 : y;
+  }
+  ins.push_back(top);
+  ins.push_back(alt);
+  ins.push_back(wide);
+  return ins;
+}
+
+TEST(Ntt, ForwardMatchesNaiveTransform) {
+  NttMultiplier ntt;
+  for (const auto& in : ntt_reference_inputs()) {
+    auto v = in;
+    ntt.forward(v);
+    EXPECT_EQ(v, ntt_ref::forward(in));
+    for (const u64 x : v) EXPECT_LT(x, NttMultiplier::kPrime);
+  }
+}
+
+TEST(Ntt, InverseMatchesNaiveTransform) {
+  NttMultiplier ntt;
+  for (const auto& in : ntt_reference_inputs()) {
+    auto v = in;
+    ntt.inverse(v);
+    EXPECT_EQ(v, ntt_ref::inverse(in));
+    for (const u64 x : v) EXPECT_LT(x, NttMultiplier::kPrime);
+  }
+}
+
+TEST(Ntt, MulmodMatchesPublicMulmod) {
+  constexpr u64 p = NttMultiplier::kPrime;
+  const u64 edges[] = {0, 1, (u64{1} << 21) - 1, u64{1} << 21, (u64{1} << 41) - 1,
+                       u64{1} << 41, p - 2, p - 1};
+  for (const u64 a : edges) {
+    for (const u64 b : edges) {
+      EXPECT_EQ(ntt_mulmod_g(a, b), mulmod(a, b, p)) << a << " * " << b;
+    }
+  }
+  Xoshiro256StarStar rng(41);
+  for (int i = 0; i < 100000; ++i) {
+    const u64 a = rng.uniform(p);
+    const u64 b = rng.uniform(p);
+    ASSERT_EQ(ntt_mulmod_g(a, b), mulmod(a, b, p)) << a << " * " << b;
+  }
+}
+
+TEST(Ntt, ShoupCompanionsAreFloorOfScaledTwiddle) {
+  // w_shoup = floor(w * 2^64 / p') iff w_shoup * p' <= w * 2^64 < (w_shoup+1) * p'.
+  constexpr u64 p = NttMultiplier::kPrime;
+  const auto is_companion = [](u64 w, u64 w_shoup) {
+    const u128 scaled = static_cast<u128>(w) << 64;
+    const u128 lo = static_cast<u128>(w_shoup) * p;
+    return w < p && lo <= scaled && scaled - lo < p;
+  };
+  const auto& t = ntt_tables();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_TRUE(is_companion(t.zetas[i], t.zetas_shoup[i])) << "zetas " << i;
+    EXPECT_TRUE(is_companion(t.zetas_inv[i], t.zetas_inv_shoup[i])) << "zetas_inv " << i;
+  }
+  EXPECT_TRUE(is_companion(t.n_inv, t.n_inv_shoup));
+}
+
+TEST(Ntt, OpCountsPinnedPerTransform) {
+  std::array<u64, kN> v{};
+  NttMultiplier ntt;
+  ntt.forward(v);
+  EXPECT_EQ(ntt.ops().coeff_mults, 1024u);
+  EXPECT_EQ(ntt.ops().coeff_adds, 2048u);
+  ntt.reset_ops();
+  ntt.inverse(v);
+  EXPECT_EQ(ntt.ops().coeff_mults, 1280u);
+  EXPECT_EQ(ntt.ops().coeff_adds, 2048u);
 }
 
 TEST(Modmath, PowAndInverse) {
