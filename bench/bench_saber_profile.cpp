@@ -3,13 +3,18 @@
 // Reproduces the paper's motivating measurement — polynomial multiplication
 // takes "up to 56% of the overall computation time" of Saber on a
 // [10]-style coprocessor — and shows how the share changes across the
-// proposed architectures. Also wall-clock-benchmarks the complete KEM with
+// proposed architectures. Every number comes from executing the KEM
+// programs on the coprocessor model (coproc::SaberCoproc) and reading its
+// per-unit cycle ledgers. Also wall-clock-benchmarks the complete KEM with
 // the hardware-simulated multipliers plugged in end-to-end.
+//
+// Exits non-zero if any executed decapsulation disagrees with its
+// encapsulation. `--benchmark_filter=^$` prints the profiles only.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <iostream>
 
-#include "analysis/profile.hpp"
 #include "common/rng.hpp"
 #include "coproc/programs.hpp"
 #include "multipliers/high_speed.hpp"
@@ -46,59 +51,67 @@ BENCHMARK_CAPTURE(BM_KemRoundTrip, sw_ntt, "ntt", false);
 BENCHMARK_CAPTURE(BM_KemRoundTrip, hw_hs1_256, "hs1-256", true);
 BENCHMARK_CAPTURE(BM_KemRoundTrip, hw_hs2, "hs2", true);
 
-}  // namespace
+struct KemLedgers {
+  coproc::CycleLedger keygen, encaps, decaps;
 
-namespace {
+  double mult_share() const {
+    coproc::CycleLedger all = keygen;
+    all += encaps;
+    all += decaps;
+    return all.mult_share();
+  }
+};
 
-// Executed (instruction-level) profile: run the real KEM programs on the
-// coprocessor model and report the measured per-unit ledger.
+// Runs keygen -> encaps -> decaps on the coprocessor model and exits the
+// process if the decapsulated key differs from the encapsulated one.
+KemLedgers run_kem(const kem::SaberParams& params, arch::HwMultiplier& mult,
+                   std::string_view label) {
+  coproc::SaberCoproc cp(params, mult);
+  coproc::SaberCoproc::Seed sa{}, ss{}, z{}, m{};
+  sa.fill(1);
+  ss.fill(2);
+  z.fill(3);
+  m.fill(4);
+  const auto kg = cp.keygen(sa, ss, z);
+  const auto en = cp.encaps(kg.pk, m);
+  const auto de = cp.decaps(en.ct, kg.sk);
+  if (de.key != en.key) {
+    std::cerr << "KEM mismatch: " << label << " on " << params.name << "\n";
+    std::exit(1);
+  }
+  return {kg.cycles, en.cycles, de.cycles};
+}
+
+int percent(double share) { return static_cast<int>(100.0 * share + 0.5); }
+
+// Saber on each architecture; hs1-256 has the [10] 256-MAC cycle count and
+// appears as the Saber row of all_param_sets().
 void executed_profiles() {
-  std::cout << "Executed coprocessor profiles (full KEM run per architecture;\n"
-               "outputs are byte-identical to the software implementation):\n\n";
-  for (const char* name : {"baseline-256", "hs1-256", "hs1-512", "hs2", "lw4"}) {
+  std::cout << "Saber (l=3) per architecture:\n\n";
+  for (const char* name : {"baseline-256", "hs1-512", "hs2", "lw4"}) {
     auto mult = arch::make_architecture(name);
-    coproc::SaberCoproc cp(kem::kSaber, *mult);
-    coproc::SaberCoproc::Seed sa{}, ss{}, z{}, m{};
-    sa.fill(0xa5);
-    ss.fill(0x5a);
-    z.fill(0x11);
-    m.fill(0x77);
-    const auto keys = cp.keygen(sa, ss, z);
-    const auto enc = cp.encaps(keys.pk, m);
-    const auto dec = cp.decaps(enc.ct, keys.sk);
+    const auto r = run_kem(kem::kSaber, *mult, name);
     std::cout << name << ":\n"
-              << "  keygen " << keys.cycles.to_string() << "\n"
-              << "  encaps " << enc.cycles.to_string() << "\n"
-              << "  decaps " << dec.cycles.to_string() << "\n\n";
+              << "  keygen " << r.keygen.to_string() << "\n"
+              << "  encaps " << r.encaps.to_string() << "\n"
+              << "  decaps " << r.decaps.to_string() << "\n"
+              << "  overall mult share " << percent(r.mult_share()) << "%\n\n";
   }
 }
 
-// All three parameter sets, executed end-to-end on HS-I-256 (LightSaber's
-// |s| = 5 secrets need the max_mag = 5 configuration of the multiplier).
+// All three parameter sets on HS-I-256 (LightSaber's |s| = 5 secrets need
+// the max_mag = 5 configuration of the multiplier).
 void all_param_sets() {
-  std::cout << "Executed KEM totals per parameter set (HS-I 256-MAC class):\n\n";
+  std::cout << "Per parameter set (HS-I 256-MAC class):\n\n";
   for (const auto& p : kem::kAllParams) {
     arch::HighSpeedMultiplier mult(
         arch::HighSpeedConfig{256, true, p.secret_bound() > 4 ? 5u : 4u});
-    coproc::SaberCoproc cp(p, mult);
-    coproc::SaberCoproc::Seed sa{}, ss{}, z{}, m{};
-    sa.fill(1);
-    ss.fill(2);
-    z.fill(3);
-    m.fill(4);
-    const auto kg = cp.keygen(sa, ss, z);
-    const auto en = cp.encaps(kg.pk, m);
-    const auto de = cp.decaps(en.ct, kg.sk);
-    if (de.key != en.key) {
-      std::cerr << "KEM mismatch for " << p.name << "\n";
-      std::exit(1);
-    }
-    std::cout << "  " << p.name << " (l=" << p.l << "): keygen "
-              << kg.cycles.total() << ", encaps " << en.cycles.total() << ", decaps "
-              << de.cycles.total() << " cycles; mult shares "
-              << static_cast<int>(100.0 * kg.cycles.mult_share() + 0.5) << "/"
-              << static_cast<int>(100.0 * en.cycles.mult_share() + 0.5) << "/"
-              << static_cast<int>(100.0 * de.cycles.mult_share() + 0.5) << "%\n";
+    const auto r = run_kem(p, mult, "hs1-256");
+    std::cout << "  " << p.name << " (l=" << p.l << "): keygen " << r.keygen.total()
+              << ", encaps " << r.encaps.total() << ", decaps " << r.decaps.total()
+              << " cycles; mult shares " << percent(r.keygen.mult_share()) << "/"
+              << percent(r.encaps.mult_share()) << "/" << percent(r.decaps.mult_share())
+              << "%, overall " << percent(r.mult_share()) << "%\n";
   }
   std::cout << "\n";
 }
@@ -106,13 +119,8 @@ void all_param_sets() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::cout << "E6 — Saber KEM cycle profiles.\n\n"
-               "Analytic model (src/analysis/profile.hpp constants):\n\n";
-  for (const char* name : {"baseline-256", "hs1-256", "hs1-512", "hs2", "lw4"}) {
-    auto arch = arch::make_architecture(name);
-    const auto profile = analysis::profile_kem(kem::kSaber, *arch);
-    std::cout << analysis::render_profile(kem::kSaber, profile, name) << "\n";
-  }
+  std::cout << "E6 — Saber KEM cycle profiles, executed on the coprocessor model\n"
+               "(outputs byte-identical to the software implementation).\n\n";
   executed_profiles();
   all_param_sets();
   std::cout << "The [10]-class high-speed designs keep multiplication at roughly\n"

@@ -39,7 +39,8 @@ std::string render_claims(const std::vector<Table1Row>& rows);
 /// Time-domain summary: microseconds per multiplication and per KEM
 /// operation at each design's implementation clock (Table 1's MHz column),
 /// i.e. the latency/throughput numbers a system integrator reads off the
-/// paper.
+/// paper. Encaps cycles are the ledger total of a keygen -> encaps run of
+/// coproc::SaberCoproc on each design (lw4, hs1-256, hs1-512, hs2).
 std::string render_time_domain();
 
 }  // namespace saber::analysis
