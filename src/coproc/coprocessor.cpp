@@ -179,13 +179,9 @@ void Coprocessor::execute(const Instruction& ins, CycleLedger& ledger) {
 
     void operator()(const OpSampleCbd& op) const {
       const auto s = kem::cbd_sample(cp.view(op.in), op.mu);
-      std::vector<u16> vals(kNn);
-      for (std::size_t i = 0; i < kNn; ++i) {
-        vals[i] = static_cast<u16>(to_twos_complement(s[i], 4));
-      }
-      const auto packed = ring::pack_bits(vals, 4);
-      SABER_REQUIRE(packed.size() == op.out.bytes, "sampler output size mismatch");
-      std::ranges::copy(packed, cp.view_mut(op.out).begin());
+      SABER_REQUIRE(ring::bytes_for(kNn, 4) == op.out.bytes,
+                    "sampler output size mismatch");
+      ring::pack_bits_g(std::span<const i8>(s.c), 4, cp.view_mut(op.out));
       ledger.sampler += sampler_cycles(cp.costs_, kNn);
     }
 
@@ -193,12 +189,8 @@ void Coprocessor::execute(const Instruction& ins, CycleLedger& ledger) {
       SABER_REQUIRE(op.pub.bytes == ring::bytes_for(kNn, kQ), "bad operand size");
       SABER_REQUIRE(op.sec.bytes == ring::bytes_for(kNn, 4), "bad secret size");
       const auto pub = ring::unpack_poly<kNn>(cp.view(op.pub), kQ);
-      std::array<u16, kNn> raw{};
-      ring::unpack_bits(cp.view(op.sec), 4, raw);
       ring::SecretPoly sec;
-      for (std::size_t i = 0; i < kNn; ++i) {
-        sec[i] = static_cast<i8>(sign_extend(raw[i], 4));
-      }
+      ring::unpack_signed(cp.view(op.sec), 4, std::span<i8>(sec.c));
       SABER_REQUIRE(op.first || cp.acc_valid_, "accumulation without a prior product");
       const auto res = cp.mult_.multiply(pub, sec, op.first ? nullptr : &cp.acc_);
       cp.acc_ = res.product;
@@ -214,11 +206,11 @@ void Coprocessor::execute(const Instruction& ins, CycleLedger& ledger) {
     void store_acc(const Region& out, unsigned out_bits,
                    const std::function<u16(std::size_t, u16)>& f) const {
       SABER_REQUIRE(cp.acc_valid_, "store of an empty accumulator");
-      std::vector<u16> vals(kNn);
+      SABER_REQUIRE(ring::bytes_for(kNn, out_bits) == out.bytes,
+                    "store output size mismatch");
+      std::array<u16, kNn> vals{};
       for (std::size_t i = 0; i < kNn; ++i) vals[i] = f(i, cp.acc_[i]);
-      const auto packed = ring::pack_bits(vals, out_bits);
-      SABER_REQUIRE(packed.size() == out.bytes, "store output size mismatch");
-      std::ranges::copy(packed, cp.view_mut(out).begin());
+      ring::pack_bits(vals, out_bits, cp.view_mut(out));
       // The store streams the accumulator out of the multiplier while packing
       // to memory: bounded by the larger of the two streams.
       ledger.data += stream_cycles(
@@ -253,27 +245,21 @@ void Coprocessor::execute(const Instruction& ins, CycleLedger& ledger) {
     }
 
     void operator()(const OpRepack& op) const {
+      SABER_REQUIRE(ring::bytes_for(kNn, op.out_bits) == op.out.bytes,
+                    "repack output size mismatch");
       std::array<u16, kNn> vals{};
       ring::unpack_bits(cp.view(op.in), op.in_bits, vals);
-      const auto packed =
-          ring::pack_bits(std::span<const u16>(vals.data(), vals.size()), op.out_bits);
-      SABER_REQUIRE(packed.size() == op.out.bytes, "repack output size mismatch");
-      std::ranges::copy(packed, cp.view_mut(op.out).begin());
+      ring::pack_bits(vals, op.out_bits, cp.view_mut(op.out));
       ledger.data +=
           stream_cycles(cp.costs_, std::max<std::size_t>(op.in.bytes, op.out.bytes));
     }
 
     void operator()(const OpRepackSigned& op) const {
-      std::array<u16, kNn> vals{};
-      ring::unpack_bits(cp.view(op.in), op.in_bits, vals);
-      std::vector<u16> out_vals(kNn);
-      for (std::size_t i = 0; i < kNn; ++i) {
-        const i64 v = sign_extend(vals[i], op.in_bits);
-        out_vals[i] = static_cast<u16>(to_twos_complement(v, op.out_bits));
-      }
-      const auto packed = ring::pack_bits(out_vals, op.out_bits);
-      SABER_REQUIRE(packed.size() == op.out.bytes, "repack output size mismatch");
-      std::ranges::copy(packed, cp.view_mut(op.out).begin());
+      SABER_REQUIRE(ring::bytes_for(kNn, op.out_bits) == op.out.bytes,
+                    "repack output size mismatch");
+      std::array<i64, kNn> vals{};
+      ring::unpack_signed(cp.view(op.in), op.in_bits, std::span<i64>(vals));
+      ring::pack_bits_g(std::span<const i64>(vals), op.out_bits, cp.view_mut(op.out));
       ledger.data +=
           stream_cycles(cp.costs_, std::max<std::size_t>(op.in.bytes, op.out.bytes));
     }

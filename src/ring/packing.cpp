@@ -4,8 +4,15 @@
 
 namespace saber::ring {
 
+void pack_bits(std::span<const u16> values, unsigned bits, std::span<u8> out) {
+  for (u16 v : values) SABER_REQUIRE(v <= mask64(bits), "value exceeds bit width");
+  pack_bits_g(values, bits, out);
+}
+
 std::vector<u8> pack_bits(std::span<const u16> values, unsigned bits) {
-  return pack_bits_g(values, bits);
+  std::vector<u8> out(bytes_for(values.size(), bits));
+  pack_bits(values, bits, out);
+  return out;
 }
 
 void unpack_bits(std::span<const u8> data, unsigned bits, std::span<u16> values) {
@@ -13,36 +20,13 @@ void unpack_bits(std::span<const u8> data, unsigned bits, std::span<u16> values)
 }
 
 std::vector<u64> pack_words(std::span<const u16> values, unsigned bits) {
-  SABER_REQUIRE(bits >= 1 && bits <= 16, "bit width out of range");
-  std::vector<u64> out(words_for(values.size(), bits), 0);
-  std::size_t bitpos = 0;
-  for (u16 v : values) {
-    SABER_REQUIRE(v <= mask64(bits), "value exceeds bit width");
-    const std::size_t word = bitpos / 64;
-    const unsigned off = static_cast<unsigned>(bitpos % 64);
-    out[word] |= static_cast<u64>(v) << off;
-    if (off + bits > 64) {
-      out[word + 1] |= static_cast<u64>(v) >> (64 - off);
-    }
-    bitpos += bits;
-  }
-  return out;
+  std::vector<u64> words(words_for(values.size(), bits), 0);
+  pack_bits(values, bits, byte_view(words).first(bytes_for(values.size(), bits)));
+  return words;
 }
 
 void unpack_words(std::span<const u64> words, unsigned bits, std::span<u16> values) {
-  SABER_REQUIRE(bits >= 1 && bits <= 16, "bit width out of range");
-  SABER_REQUIRE(words.size() * 64 >= values.size() * bits, "input too short");
-  std::size_t bitpos = 0;
-  for (auto& v : values) {
-    const std::size_t word = bitpos / 64;
-    const unsigned off = static_cast<unsigned>(bitpos % 64);
-    u64 x = words[word] >> off;
-    if (off + bits > 64) {
-      x |= words[word + 1] << (64 - off);
-    }
-    v = static_cast<u16>(low_bits(x, bits));
-    bitpos += bits;
-  }
+  unpack_bits(byte_view(words), bits, values);
 }
 
 }  // namespace saber::ring

@@ -2,16 +2,22 @@
 //
 // Saber serializes polynomials by packing k-bit coefficients LSB-first into a
 // little-endian bit stream (the reference implementation's BS2POL/POL2BS
-// family). The hardware models additionally view the same streams as 64-bit
-// memory words, matching the paper's 64-bit data bus (§2.2).
+// family). The hardware models view the same stream as little-endian 64-bit
+// memory words, matching the paper's 64-bit data bus (§2.2), and the sampler
+// reads its binomial fields from it.
 //
-// The byte-stream codecs are templated over the word type and branch-free in
-// the data: secret keys pass through pack_bits_g/unpack_bits_g, so a
-// value-dependent branch here would be a real timing leak (and is exactly
-// what the original `if (bit) out |= ...` formulation was). The 64-bit word
-// codecs serve the hardware bus models and stay plain.
+// One grouped codec body (pack_bits_g / unpack_bits_g) serves every stream.
+// Its invariant: 8 consecutive values of `bits` bits (1..16) occupy exactly
+// `bits` bytes, assembled in two u64 lanes; a stream ends in at most one
+// partial group. Every shift amount derives from the public width and the
+// position in the group, and nothing is indexed or branched on by value, so
+// the same body runs over ct::Tainted words in the audit (secret keys pass
+// through it). The codec packs the low `bits` bits of each value, so signed
+// values pack as two's complement.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <span>
 #include <vector>
 
@@ -32,63 +38,113 @@ constexpr std::size_t bytes_for(std::size_t count, unsigned bits) {
   return ceil_div<std::size_t>(count * bits, 8);
 }
 
-/// Pack values (each < 2^bits) LSB-first into a byte stream. Branch-free in
-/// the data: every bit is OR-accumulated unconditionally.
-template <typename W>
-std::vector<ct::rebind_t<W, u8>> pack_bits_g(std::span<const W> values, unsigned bits) {
-  using B = ct::rebind_t<W, u8>;
+/// Pack the low `bits` bits of each value LSB-first into `out`, which must
+/// hold exactly bytes_for(values.size(), bits) bytes.
+template <typename W, typename B>
+void pack_bits_g(std::span<const W> values, unsigned bits, std::span<B> out) {
+  static_assert(ct::is_tainted_v<B> == ct::is_tainted_v<W>,
+                "byte and value words must share a taint mode");
   SABER_REQUIRE(bits >= 1 && bits <= 16, "bit width out of range");
-  std::vector<B> out(bytes_for(values.size(), bits), B{0});
-  std::size_t bitpos = 0;
-  for (const W& v : values) {
-    if constexpr (!ct::is_tainted_v<W>) {
-      SABER_REQUIRE(v <= mask64(bits), "value exceeds bit width");
+  SABER_REQUIRE(out.size() == bytes_for(values.size(), bits), "output size mismatch");
+  for (std::size_t g = 0; g < values.size(); g += 8) {
+    const std::size_t n = std::min<std::size_t>(8, values.size() - g);
+    ct::rebind_t<W, u64> lo{0}, hi{0};
+    for (unsigned j = 0; j < n; ++j) {
+      const auto v = ct::low_bits_g(values[g + j], bits);
+      const unsigned off = j * bits;
+      if (off < 64) {
+        lo = lo | (v << off);
+        if (off + bits > 64) hi = hi | (v >> (64 - off));
+      } else {
+        hi = hi | (v << (off - 64));
+      }
     }
-    for (unsigned b = 0; b < bits; ++b, ++bitpos) {
-      out[bitpos / 8] = ct::cast<u8>(
-          out[bitpos / 8] | (((ct::cast<u32>(v) >> b) & 1u) << (bitpos % 8)));
+    const std::size_t base = g / 8 * bits;
+    for (std::size_t k = 0; k < bytes_for(n, bits); ++k) {
+      out[base + k] = ct::cast<u8>((k < 8 ? lo : hi) >> (8 * (k % 8)));
     }
   }
-  return out;
 }
 
-/// Inverse of pack_bits_g. `data` must hold at least values.size()*bits bits.
+/// Inverse of pack_bits_g. `data` must hold at least values.size()*bits
+/// bits; bits past the last value are ignored.
 template <typename B, typename W>
 void unpack_bits_g(std::span<const B> data, unsigned bits, std::span<W> values) {
   static_assert(ct::is_tainted_v<B> == ct::is_tainted_v<W>,
                 "byte and value words must share a taint mode");
   SABER_REQUIRE(bits >= 1 && bits <= 16, "bit width out of range");
-  SABER_REQUIRE(data.size() * 8 >= values.size() * bits, "input too short");
-  std::size_t bitpos = 0;
-  for (auto& v : values) {
-    ct::rebind_t<W, u16> x{0};
-    for (unsigned b = 0; b < bits; ++b, ++bitpos) {
-      x = ct::cast<u16>(x | (((ct::cast<u32>(data[bitpos / 8]) >> (bitpos % 8)) & 1u)
-                             << b));
+  SABER_REQUIRE(data.size() >= bytes_for(values.size(), bits), "input too short");
+  const u64 mask = mask64(bits);
+  for (std::size_t g = 0; g < values.size(); g += 8) {
+    const std::size_t n = std::min<std::size_t>(8, values.size() - g);
+    const std::size_t base = g / 8 * bits;
+    ct::rebind_t<B, u64> lo{0}, hi{0};
+    for (std::size_t k = 0; k < bytes_for(n, bits); ++k) {
+      auto& lane = k < 8 ? lo : hi;
+      lane = lane | (ct::cast<u64>(data[base + k]) << (8 * (k % 8)));
     }
-    v = x;
+    for (unsigned j = 0; j < n; ++j) {
+      const unsigned off = j * bits;
+      auto v = off >= 64 ? hi >> (off - 64) : lo >> off;
+      if (off < 64 && off + bits > 64) v = v | (hi << (64 - off));
+      values[g + j] = ct::cast<ct::raw_t<W>>(v & mask);
+    }
   }
 }
 
-/// Plain-word entry points (the original API).
+/// Plain-word entry points. Packing rejects a value that does not fit in
+/// `bits` bits.
+void pack_bits(std::span<const u16> values, unsigned bits, std::span<u8> out);
 std::vector<u8> pack_bits(std::span<const u16> values, unsigned bits);
 void unpack_bits(std::span<const u8> data, unsigned bits, std::span<u16> values);
 
-/// Pack values LSB-first into little-endian 64-bit memory words (the layout
-/// the multiplier architectures stream from BRAM).
+/// Unpack two's-complement fields, sign-extended into the signed words of
+/// `values` (the inverse of pack_bits_g over signed values).
+template <typename S>
+void unpack_signed(std::span<const u8> data, unsigned bits, std::span<S> values) {
+  unpack_bits_g(data, bits, values);
+  for (auto& v : values) v = static_cast<S>(sign_extend(static_cast<u64>(v), bits));
+}
+
+/// The byte stream under an array of 64-bit memory words: byte i is bits
+/// [8(i mod 8), 8(i mod 8) + 8) of word i/8. On a little-endian host that is
+/// the array's object representation, so the codec reads and writes words in
+/// place.
+static_assert(std::endian::native == std::endian::little,
+              "the memory-word view assumes a little-endian host");
+inline std::span<u8> byte_view(std::vector<u64>& words) {
+  return {reinterpret_cast<u8*>(words.data()), words.size() * sizeof(u64)};
+}
+inline std::span<const u8> byte_view(std::span<const u64> words) {
+  return {reinterpret_cast<const u8*>(words.data()), words.size() * sizeof(u64)};
+}
+
+/// Pack values into little-endian 64-bit memory words (the layout the
+/// multiplier architectures stream from BRAM): the word view of pack_bits.
 std::vector<u64> pack_words(std::span<const u16> values, unsigned bits);
 
 /// Inverse of pack_words.
 void unpack_words(std::span<const u64> words, unsigned bits, std::span<u16> values);
 
-/// Convenience: pack a polynomial's low `bits` bits per coefficient.
+/// Pack a polynomial's low `bits` bits per coefficient.
 template <std::size_t N, typename C>
 std::vector<ct::rebind_t<C, u8>> pack_poly(const PolyT<N, C>& p, unsigned bits) {
-  std::vector<C> masked(N);
-  for (std::size_t i = 0; i < N; ++i) {
-    masked[i] = ct::cast<u16>(ct::low_bits_g(p[i], bits));
+  std::vector<ct::rebind_t<C, u8>> out(bytes_for(N, bits));
+  pack_bits_g(std::span<const C>(p.c), bits, std::span(out));
+  return out;
+}
+
+/// Pack each polynomial of `v` (public or secret) into consecutive
+/// bytes_for(N, bits)-byte slices of `out`, which must hold exactly all of
+/// them.
+template <typename P, typename B>
+void pack_vec(const std::vector<P>& v, unsigned bits, std::span<B> out) {
+  using C = typename decltype(P::c)::value_type;
+  const std::size_t n = bytes_for(P::size(), bits);
+  SABER_REQUIRE(out.size() == v.size() * n, "packed vector size mismatch");
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    pack_bits_g(std::span<const C>(v[i].c), bits, out.subspan(i * n, n));
   }
-  return pack_bits_g(std::span<const C>(masked), bits);
 }
 
 /// Convenience: unpack a polynomial (coefficients end up reduced mod 2^bits).
@@ -106,27 +162,22 @@ PolyT<N> unpack_poly(std::span<const u8> data, unsigned bits) {
   return unpack_poly<N, u8>(data, bits);
 }
 
-/// Secret polynomials packed in the paper's 4-bit sign-magnitude-free layout:
-/// the two's-complement low `bits` bits of each coefficient, sixteen 4-bit
-/// coefficients per 64-bit word for Saber (§2.2: "we pack 16 coefficients of
-/// a secret polynomial in a 64-bit memory-word").
+/// Secret polynomials as memory words: the two's-complement low `bits` bits
+/// of each coefficient, sixteen 4-bit coefficients per 64-bit word for Saber
+/// (§2.2: "we pack 16 coefficients of a secret polynomial in a 64-bit
+/// memory-word").
 template <std::size_t N>
 std::vector<u64> pack_secret_words(const SecretPolyT<N>& s, unsigned bits) {
-  std::vector<u16> vals(N);
-  for (std::size_t i = 0; i < N; ++i) {
-    vals[i] = static_cast<u16>(to_twos_complement(s[i], bits));
-  }
-  return pack_words(vals, bits);
+  std::vector<u64> words(words_for(N, bits), 0);
+  pack_bits_g(std::span<const i8>(s.c), bits,
+              byte_view(words).first(bytes_for(N, bits)));
+  return words;
 }
 
 template <std::size_t N>
 SecretPolyT<N> unpack_secret_words(std::span<const u64> words, unsigned bits) {
-  std::array<u16, N> vals{};
-  unpack_words(words, bits, vals);
   SecretPolyT<N> s;
-  for (std::size_t i = 0; i < N; ++i) {
-    s[i] = static_cast<i8>(sign_extend(vals[i], bits));
-  }
+  unpack_signed(byte_view(words), bits, std::span<i8>(s.c));
   return s;
 }
 

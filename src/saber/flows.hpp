@@ -87,15 +87,13 @@ ring::PolyVecOf<C> round_q_to_p_g(ring::PolyVecOf<C> v) {
   return v;
 }
 
+/// The PKE secret key: each secret polynomial as 13-bit two's complement,
+/// which is its embedding into R_q.
 template <typename S>
 std::vector<ct::rebind_t<S, u8>> pack_secret_g(const ring::SecretVecOf<S>& s,
                                                const SaberParams& params) {
-  std::vector<ct::rebind_t<S, u8>> out;
-  out.reserve(params.pke_sk_bytes());
-  for (const auto& poly : s) {
-    const auto bytes = ring::pack_poly(poly.to_poly(SaberParams::eq), SaberParams::eq);
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
+  std::vector<ct::rebind_t<S, u8>> out(params.pke_sk_bytes());
+  ring::pack_vec(s, SaberParams::eq, std::span(out));
   return out;
 }
 
@@ -118,13 +116,10 @@ template <typename C>
 std::vector<ct::rebind_t<C, u8>> pack_pk_g(const ring::PolyVecOf<C>& b,
                                            const SeedT<u8>& seed_a,
                                            const SaberParams& params) {
-  std::vector<ct::rebind_t<C, u8>> pk;
-  pk.reserve(params.pk_bytes());
-  for (const auto& poly : b) {
-    const auto bytes = ring::pack_poly(poly, SaberParams::ep);
-    pk.insert(pk.end(), bytes.begin(), bytes.end());
-  }
-  pk.insert(pk.end(), seed_a.begin(), seed_a.end());
+  std::vector<ct::rebind_t<C, u8>> pk(params.pk_bytes());
+  const auto b_bytes = std::span(pk).first(params.l * params.poly_p_bytes());
+  ring::pack_vec(b, SaberParams::ep, b_bytes);
+  std::ranges::copy(seed_a, std::span(pk).subspan(b_bytes.size()).begin());
   return pk;
 }
 
@@ -152,12 +147,9 @@ std::vector<B> encrypt_seal_g(const MessageT<B>& m, ring::PolyVecOf<C> bp,
   static_assert(ct::is_tainted_v<B> == ct::is_tainted_v<C>,
                 "message bytes and product coefficients must share a taint mode");
   bp = round_q_to_p_g(std::move(bp));
-  std::vector<B> ct;
-  ct.reserve(params.ct_bytes());
-  for (const auto& poly : bp) {
-    const auto bytes = ring::pack_poly(poly, SaberParams::ep);
-    ct.insert(ct.end(), bytes.begin(), bytes.end());
-  }
+  std::vector<B> ct(params.ct_bytes());
+  const auto bp_bytes = std::span(ct).first(params.l * params.poly_p_bytes());
+  ring::pack_vec(bp, SaberParams::ep, bp_bytes);
 
   const auto mp = message_to_poly_g(m);
   ring::PolyT<ring::kN, C> cm;
@@ -168,9 +160,8 @@ std::vector<B> encrypt_seal_g(const MessageT<B>& m, ring::PolyVecOf<C> bp,
     cm[i] = ct::cast<u16>(ct::low_bits_g(v, SaberParams::ep) >>
                           (SaberParams::ep - params.et));
   }
-  const auto cm_bytes = ring::pack_poly(cm, params.et);
-  ct.insert(ct.end(), cm_bytes.begin(), cm_bytes.end());
-  SABER_ENSURE(ct.size() == params.ct_bytes(), "ciphertext size mismatch");
+  ring::pack_bits_g(std::span<const C>(cm.c), params.et,
+                    std::span(ct).subspan(bp_bytes.size()));
   return ct;
 }
 

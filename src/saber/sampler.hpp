@@ -6,14 +6,17 @@
 //
 // The kernel is templated over the byte word type: the SHAKE output derives
 // from the secret seed, so under the ct_audit build the whole stream is
-// ct::Tainted<u8> and the sampled coefficients come out tainted. All bit
-// extraction and the popcount are branch-free in the data (bit positions are
-// loop counters, never values).
+// ct::Tainted<u8> and the sampled coefficients come out tainted. The stream
+// is read as 2n fields of mu/2 bits by the grouped codec of ring/packing.hpp
+// (8 fields per mu/2 bytes, public shifts), and the popcount iterates over
+// the public field width, so nothing branches on or indexes by the data.
 #pragma once
 
+#include <array>
 #include <span>
 
 #include "ct/tainted.hpp"
+#include "ring/packing.hpp"
 #include "ring/poly.hpp"
 #include "saber/params.hpp"
 
@@ -26,22 +29,14 @@ ring::SecretPolyT<ring::kN, ct::rebind_t<B, i8>> cbd_sample_g(std::span<const B>
                                                               unsigned mu) {
   SABER_REQUIRE(mu % 2 == 0 && mu >= 2 && mu <= 10, "unsupported binomial parameter");
   SABER_REQUIRE(buf.size() == ring::kN * mu / 8, "sampler input length mismatch");
-  ring::SecretPolyT<ring::kN, ct::rebind_t<B, i8>> s;
-  std::size_t bitpos = 0;
-  auto take_bits = [&](unsigned count) {
-    ct::rebind_t<B, u32> v{0};
-    for (unsigned b = 0; b < count; ++b, ++bitpos) {
-      v = ct::cast<u32>(v | (((ct::cast<u32>(buf[bitpos / 8]) >> (bitpos % 8)) & 1u)
-                             << b));
-    }
-    return v;
-  };
   const unsigned half = mu / 2;
+  using F = ct::rebind_t<B, u16>;
+  std::array<F, 2 * ring::kN> fields{};
+  ring::unpack_bits_g(buf, half, std::span<F>(fields));
+  ring::SecretPolyT<ring::kN, ct::rebind_t<B, i8>> s;
   for (std::size_t i = 0; i < ring::kN; ++i) {
-    const auto x = take_bits(half);
-    const auto y = take_bits(half);
-    s[i] = ct::cast<i8>(ct::cast<i32>(ct::popcount_low_g(x, half)) -
-                        ct::cast<i32>(ct::popcount_low_g(y, half)));
+    s[i] = ct::cast<i8>(ct::cast<i32>(ct::popcount_low_g(fields[2 * i], half)) -
+                        ct::cast<i32>(ct::popcount_low_g(fields[2 * i + 1], half)));
   }
   return s;
 }

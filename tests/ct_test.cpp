@@ -1,7 +1,8 @@
 // Unit tests for the ct::Tainted taint lattice: propagation through every
 // operator family, the trap conditions (branch, division, modulo, tainted
 // shift amount, escape), audited declassification, and the word-generic
-// arithmetic helpers that let the production kernels run under analysis.
+// arithmetic helpers, bit codec and sampler that let the production kernels
+// run under analysis.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -9,6 +10,8 @@
 #include "common/ctops.hpp"
 #include "common/zeroize.hpp"
 #include "ct/tainted.hpp"
+#include "ring/packing.hpp"
+#include "saber/sampler.hpp"
 
 namespace saber::ct {
 namespace {
@@ -330,6 +333,81 @@ TEST_F(TaintedTest, DeclassifyBytesLogsOneSite) {
   EXPECT_EQ(declassify_bytes(std::span<const u8>(plain), "ignored"),
             (std::vector<u8>{1, 2}));
   EXPECT_EQ(Analysis::instance().declassifications().size(), 1u);
+}
+
+// ------------------------------------------------------- grouped bit codec
+
+/// 40 13-bit values (five groups of 8), all public except index `secret`.
+std::vector<Tainted<u16>> codec_values(std::size_t secret) {
+  std::vector<Tainted<u16>> vals(40);
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    vals[i] = Tainted<u16>(static_cast<u16>((i * 2654435761u) & 0x1FFF), i == secret);
+  }
+  return vals;
+}
+
+TEST_F(TaintedTest, PackedTaintStaysInsideItsGroup) {
+  constexpr unsigned kBits = 13;
+  const auto vals = codec_values(19);  // group 2 = bytes [26, 39)
+  std::vector<Tainted<u8>> bytes(ring::bytes_for(vals.size(), kBits));
+  ring::pack_bits_g(std::span<const Tainted<u16>>(vals), kBits,
+                    std::span<Tainted<u8>>(bytes));
+  std::vector<u16> raw(vals.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) raw[i] = peek(vals[i]);
+  const auto plain = ring::pack_bits(raw, kBits);
+  bool group_tainted = false;
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    EXPECT_EQ(peek(bytes[k]), plain[k]) << "byte " << k;
+    const bool in_group = k >= 2 * kBits && k < 3 * kBits;
+    if (!in_group) {
+      EXPECT_FALSE(bytes[k].tainted()) << "byte " << k;
+    }
+    group_tainted = group_tainted || bytes[k].tainted();
+  }
+  EXPECT_TRUE(group_tainted);
+
+  const auto pub = codec_values(vals.size());  // nothing tainted
+  ring::pack_bits_g(std::span<const Tainted<u16>>(pub), kBits,
+                    std::span<Tainted<u8>>(bytes));
+  for (const auto& b : bytes) EXPECT_FALSE(b.tainted());
+  EXPECT_EQ(total(), 0u);
+}
+
+TEST_F(TaintedTest, UnpackingATaintedStreamTaintsEveryValue) {
+  constexpr unsigned kBits = 13;
+  std::vector<Tainted<u8>> bytes(ring::bytes_for(37, kBits));  // partial last group
+  std::vector<u8> raw(bytes.size());
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    raw[k] = static_cast<u8>(k * 37 + 11);
+    bytes[k] = Tainted<u8>(raw[k], true);
+  }
+  std::vector<Tainted<u16>> vals(37);
+  ring::unpack_bits_g(std::span<const Tainted<u8>>(bytes), kBits,
+                      std::span<Tainted<u16>>(vals));
+  std::vector<u16> plain(vals.size());
+  ring::unpack_bits(raw, kBits, plain);
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    EXPECT_TRUE(vals[i].tainted()) << "value " << i;
+    EXPECT_EQ(peek(vals[i]), plain[i]) << "value " << i;
+  }
+  EXPECT_EQ(total(), 0u);
+}
+
+TEST_F(TaintedTest, CbdSampleOverTaintedBytesYieldsTaintedCoefficients) {
+  constexpr unsigned kMu = 8;
+  std::vector<Tainted<u8>> buf(ring::kN * kMu / 8);
+  std::vector<u8> raw(buf.size());
+  for (std::size_t k = 0; k < buf.size(); ++k) {
+    raw[k] = static_cast<u8>(k * 73 + 5);
+    buf[k] = Tainted<u8>(raw[k], true);
+  }
+  const auto s = kem::cbd_sample_g(std::span<const Tainted<u8>>(buf), kMu);
+  const auto plain = kem::cbd_sample_g(std::span<const u8>(raw), kMu);
+  for (std::size_t i = 0; i < ring::kN; ++i) {
+    EXPECT_TRUE(s[i].tainted()) << "coefficient " << i;
+    EXPECT_EQ(peek(s[i]), plain[i]) << "coefficient " << i;
+  }
+  EXPECT_EQ(total(), 0u);
 }
 
 // ------------------------------------------------------- zeroize integration

@@ -51,6 +51,78 @@ TEST_P(PackingRoundTrip, ByteAndWordViewsAgree) {
 INSTANTIATE_TEST_SUITE_P(Widths, PackingRoundTrip,
                          ::testing::Values(1u, 3u, 4u, 6u, 10u, 13u, 16u));
 
+// Bit-serial reference codec: bit b of value i is stream bit i*bits + b, and
+// stream bit k is bit k%8 of byte k/8.
+std::vector<u8> reference_pack(std::span<const u16> vals, unsigned bits) {
+  std::vector<u8> out(bytes_for(vals.size(), bits), 0);
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    for (unsigned b = 0; b < bits; ++b) {
+      const std::size_t k = i * bits + b;
+      const unsigned bit = (static_cast<unsigned>(vals[i]) >> b) & 1u;
+      out[k / 8] = static_cast<u8>(out[k / 8] | (bit << (k % 8)));
+    }
+  }
+  return out;
+}
+
+std::vector<u16> reference_unpack(std::span<const u8> data, unsigned bits,
+                                  std::size_t count) {
+  std::vector<u16> out(count, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (unsigned b = 0; b < bits; ++b) {
+      const std::size_t k = i * bits + b;
+      const unsigned bit = (static_cast<unsigned>(data[k / 8]) >> (k % 8)) & 1u;
+      out[i] = static_cast<u16>(out[i] | (bit << b));
+    }
+  }
+  return out;
+}
+
+TEST(Packing, GroupedCodecMatchesBitSerialReference) {
+  // Every width, and every count up to five groups of 8, so each possible
+  // partial last group is exercised.
+  Xoshiro256StarStar rng(15);
+  for (unsigned bits = 1; bits <= 16; ++bits) {
+    for (std::size_t count = 0; count <= 40; ++count) {
+      SCOPED_TRACE(::testing::Message() << "bits=" << bits << " count=" << count);
+      std::vector<u16> vals(count);
+      for (auto& v : vals) v = static_cast<u16>(rng.uniform(u64{1} << bits));
+
+      const auto bytes = pack_bits(vals, bits);
+      ASSERT_EQ(bytes, reference_pack(vals, bits));
+      const auto words = pack_words(vals, bits);
+      ASSERT_EQ(words.size(), words_for(count, bits));
+      for (std::size_t i = 0; i < 8 * words.size(); ++i) {
+        const u8 expect = i < bytes.size() ? bytes[i] : 0;  // zero-padded word
+        ASSERT_EQ(static_cast<u8>(words[i / 8] >> (8 * (i % 8))), expect) << "i=" << i;
+      }
+
+      // Unpacking an arbitrary stream agrees with the reference.
+      std::vector<u8> noise(bytes.size() + 3);
+      for (auto& b : noise) b = static_cast<u8>(rng.uniform(256));
+      std::vector<u16> got(count);
+      unpack_bits(noise, bits, got);
+      ASSERT_EQ(got, reference_unpack(noise, bits, count));
+
+      // Set padding bits after the last value do not change what unpacks,
+      // in the byte stream or its word view.
+      std::vector<u8> padded(8 * words.size() + 8, 0xff);
+      std::copy(bytes.begin(), bytes.end(), padded.begin());
+      for (std::size_t k = count * bits; k < 8 * bytes.size(); ++k) {
+        padded[k / 8] = static_cast<u8>(padded[k / 8] | (1u << (k % 8)));
+      }
+      unpack_bits(padded, bits, got);
+      ASSERT_EQ(got, vals);
+      std::vector<u64> padded_words(padded.size() / 8, 0);
+      for (std::size_t i = 0; i < padded.size(); ++i) {
+        padded_words[i / 8] |= u64{padded[i]} << (8 * (i % 8));
+      }
+      unpack_words(padded_words, bits, got);
+      ASSERT_EQ(got, vals);
+    }
+  }
+}
+
 TEST(Packing, KnownLayout13Bit) {
   // Coefficients c0 = 1, c1 = 2: bit 0 set and bit 14 set.
   std::vector<u16> vals = {1, 2};
