@@ -9,7 +9,11 @@
 #      to data-dependent-latency instructions on most cores;
 #   2. `table[…secret…]`            indexing BY a secret value is a classic
 #      cache side channel (indexing INTO a secret array, `secret[i]`, is
-#      fine and not matched).
+#      fine and not matched);
+#   3. gather/scatter intrinsics    (`_i32gather`, `_i64gather`, `_scatter`)
+#      anywhere in src/: a SIMD lookup indexed by lane values. The vector
+#      NTT kernel loads only operand arrays, in order, and public twiddle
+#      rows.
 #
 # Audited files are exempt: everything under src/ct/ (the analyzer names the
 # operators it traps) and the flow/sampler kernels, whose secret arithmetic
@@ -54,6 +58,7 @@ fi
 # coins* all count.
 divmod_re='\b(secret|coins|sk)[A-Za-z0-9_]*[[:space:]]*[%/][^/*]'
 index_re='[A-Za-z0-9_]\[[^][]*\b(secret|coins)[A-Za-z0-9_]*\b[^][]*\]'
+gather_re='_(i32gather|i64gather|[A-Za-z0-9]*scatter)'
 
 # Runtime-audited files: their secret arithmetic executes under ct::Tainted
 # in ct_audit_test (zero violations required), so the textual lint defers to
@@ -66,9 +71,13 @@ cat > "$selftest" <<'EOF'
 int a = secret_byte % 3;
 int b = coins / 7;
 int c = table[secret_idx];
+__m512i d = _mm512_i64gather_epi64(idx, base, 8);
+__m256i e = _mm256_mask_i32gather_epi32(src, mask, idx, base, 4);
+_mm512_i64scatter_epi64(base, idx, v, 8);
 EOF
 if [ "$(grep -cE "$divmod_re" "$selftest")" != 2 ] ||
-   [ "$(grep -cE "$index_re" "$selftest")" != 1 ]; then
+   [ "$(grep -cE "$index_re" "$selftest")" != 1 ] ||
+   [ "$(grep -cE "$gather_re" "$selftest")" != 3 ]; then
   echo "static_analysis: secret-lint self-test failed — patterns no longer fire" >&2
   rm -f "$selftest"
   exit 1
@@ -86,6 +95,15 @@ if [ -n "$hits" ]; then
   status=1
 else
   echo "clean: no secret-named identifier feeds /, % or a table index outside audited files"
+fi
+
+gathers=$(grep -rnE "$gather_re" src --include='*.hpp' --include='*.cpp' || true)
+if [ -n "$gathers" ]; then
+  echo "gather/scatter intrinsic in src/ (a lookup indexed by lane values):" >&2
+  echo "$gathers" >&2
+  status=1
+else
+  echo "clean: no gather/scatter intrinsic in src/"
 fi
 
 exit "$status"

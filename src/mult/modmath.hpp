@@ -87,6 +87,11 @@ constexpr u64 ntt_shoup(u64 w) {
   return static_cast<u64>((static_cast<u128>(w) << 64) / kNttPrime);
 }
 
+/// The AVX-512 IFMA kernel's 52-bit companion: floor(w * 2^52 / p').
+constexpr u64 ntt_shoup52(u64 w) {
+  return static_cast<u64>((static_cast<u128>(w) << 52) / kNttPrime);
+}
+
 /// x * w mod p', lazily: a value < 2p' congruent to x * w, for ANY u64 x and
 /// a PUBLIC w < p' with w_shoup = ntt_shoup(w). The quotient estimate
 /// q = floor(x * w_shoup / 2^64) undershoots floor(x * w / p') by at most

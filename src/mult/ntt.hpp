@@ -31,6 +31,11 @@
 //
 // Both transforms therefore return canonical residues in [0, p'), the same
 // values a fully reduced butterfly produces.
+//
+// On a CPU with AVX-512 F+VL+IFMA, NttMultiplier runs its transforms and
+// pointwise accumulate through the vector kernel of ntt_avx512.hpp instead,
+// with the same results bit for bit; the word-generic kernel here stays the
+// ct-audit body and the path on every other CPU.
 #pragma once
 
 #include <array>
@@ -39,6 +44,10 @@
 #include "mult/multiplier.hpp"
 
 namespace saber::mult {
+
+/// Lane twiddles of the AVX-512 kernel's len = 4, 2, 1 stages: one per
+/// butterfly, N/2 per stage.
+inline constexpr std::size_t kNttLaneTwiddles = 3 * ring::kN / 2;
 
 /// Twiddle factors in the order consumed by the Cooley-Tukey / Gentleman-
 /// Sande butterflies (powers of psi in bit-reversed order), each with its
@@ -50,9 +59,26 @@ struct NttTables {
   std::array<u64, ring::kN> zetas_inv_shoup{};
   u64 n_inv = 0;
   u64 n_inv_shoup = 0;
+
+  // The AVX-512 IFMA kernel's data (ntt_avx512.hpp). Its 52-bit Shoup
+  // companions ntt_shoup52(w) = floor(w * 2^52 / p'), and, for the stages
+  // where one vector spans several butterfly groups, each butterfly's
+  // twiddle in lane order: entry s * N/2 + m serves stage len = 4 >> s,
+  // lane m % 8 of the m / 8-th 16-coefficient block, i.e. group m / len.
+  std::array<u64, ring::kN> zetas_shoup52{};
+  std::array<u64, ring::kN> zetas_inv_shoup52{};
+  u64 n_inv_shoup52 = 0;
+  alignas(64) std::array<u64, kNttLaneTwiddles> fwd_lane_zetas{};
+  alignas(64) std::array<u64, kNttLaneTwiddles> fwd_lane_shoup52{};
+  alignas(64) std::array<u64, kNttLaneTwiddles> inv_lane_zetas{};
+  alignas(64) std::array<u64, kNttLaneTwiddles> inv_lane_shoup52{};
+  /// Whether this CPU runs the AVX-512 IFMA kernel; NttMultiplier runs it
+  /// when set and the scalar word-generic kernel otherwise.
+  bool ifma = false;
 };
 
-/// Build (once) and return the twiddle tables for kPrime / kGenerator.
+/// Build (once) and return the twiddle tables for kPrime / kGenerator, and
+/// probe (once) whether this CPU runs the AVX-512 IFMA kernel.
 const NttTables& ntt_tables();
 
 /// Forward negacyclic NTT (psi-twisted, bit-reversed output) in place.

@@ -1,7 +1,8 @@
 // Heap-traffic regression tests for the hot loops of the paper-comparison
-// paths: the Karatsuba/Toom-Cook split-transform products and the LW / HS-I
-// cycle models. A counting global operator new (this executable only) tallies
-// every allocation made inside the measured call.
+// paths (the Karatsuba/Toom-Cook split-transform products and the LW / HS-I
+// cycle models) and for constructing the production NTT scheme. A counting
+// global operator new (this executable only) tallies every allocation made
+// inside the measured call.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include "mult/karatsuba.hpp"
 #include "mult/strategy.hpp"
 #include "multipliers/hw_multiplier.hpp"
+#include "saber/kem.hpp"
 
 namespace {
 
@@ -95,6 +97,17 @@ TEST(Allocations, CycleModelMultiplyIsConstant) {
       if (first < 0) first = n;
       EXPECT_EQ(n, first) << name << ": allocation count depends on the operands";
     }
+  }
+}
+
+// Constructing the NTT backend builds nothing per instance: the twiddle
+// tables and the kernel choice are made once per process. A scheme is the
+// NttMultiplier plus its shared_ptr control block; the multiplier alone is
+// one allocation.
+TEST(Allocations, NttSchemeConstructionIsConstant) {
+  for (const auto& p : kem::kAllParams) {
+    EXPECT_EQ(allocations_in([&] { kem::SaberKemScheme scheme(p, "ntt"); }), 2) << p.name;
+    EXPECT_EQ(allocations_in([] { (void)mult::make_multiplier("ntt"); }), 1) << p.name;
   }
 }
 

@@ -13,8 +13,9 @@
 //   SABER_CONFORMANCE_ITERS=64 SABER_CONFORMANCE_SEED=0x1234 ./conformance_test
 //
 // A third sweep checks the NTT kernel's lazy Shoup butterflies against the
-// naive O(N^2) transform (tests/ntt_reference.hpp) on random lanes mixed
-// with the lazy-bound extremes 0 and p'-1.
+// naive O(N^2) transform (tests/ntt_reference.hpp), and its pointwise
+// product-accumulate against the public mulmod, on random lanes mixed with
+// the lazy-bound extremes 0 and p'-1.
 //
 // The harness also pins Table 1: every `measured` row of the checked-in
 // table1.csv must reproduce bit-for-bit against a fresh run of the
@@ -158,11 +159,15 @@ TEST(Conformance, NttTransformsMatchNaiveReference) {
     const u64 seed = iter_seed(base, iter) ^ 0x277ULL;
     Xoshiro256StarStar rng(seed);
     // Each lane is uniform, 0 or p'-1 (the latter two push the lazy bounds).
-    ntt_ref::Vec in{};
-    for (auto& x : in) {
-      const u64 pick = rng.uniform(4);
-      x = pick == 0 ? 0 : pick == 1 ? ntt_ref::kP - 1 : rng.uniform(ntt_ref::kP);
-    }
+    const auto lanes = [&] {
+      ntt_ref::Vec v{};
+      for (auto& x : v) {
+        const u64 pick = rng.uniform(4);
+        x = pick == 0 ? 0 : pick == 1 ? ntt_ref::kP - 1 : rng.uniform(ntt_ref::kP);
+      }
+      return v;
+    };
+    const ntt_ref::Vec in = lanes();
     auto fwd = in;
     ntt.forward(fwd);
     EXPECT_EQ(fwd, ntt_ref::forward(in))
@@ -173,6 +178,23 @@ TEST(Conformance, NttTransformsMatchNaiveReference) {
     EXPECT_EQ(inv, ntt_ref::inverse(in))
         << "inverse NTT diverges from the naive transform (seed 0x" << std::hex
         << seed << ")";
+    // The pointwise product the spectra meet in, accumulated mod p'.
+    const ntt_ref::Vec b = lanes();
+    const ntt_ref::Vec acc0 = lanes();
+    mult::Transformed ta(ring::kN), tb(ring::kN), acc(ring::kN);
+    for (std::size_t i = 0; i < ring::kN; ++i) {
+      ta[i] = static_cast<i64>(in[i]);
+      tb[i] = static_cast<i64>(b[i]);
+      acc[i] = static_cast<i64>(acc0[i]);
+    }
+    ntt.pointwise_accumulate(acc, ta, tb);
+    for (std::size_t i = 0; i < ring::kN; ++i) {
+      const u64 expect =
+          mult::addmod(acc0[i], mult::mulmod(in[i], b[i], ntt_ref::kP), ntt_ref::kP);
+      EXPECT_EQ(static_cast<u64>(acc[i]), expect)
+          << "pointwise product-accumulate diverges at lane " << i << " (seed 0x"
+          << std::hex << seed << ")";
+    }
   }
 }
 

@@ -344,19 +344,27 @@ TEST(Ntt, MulmodMatchesPublicMulmod) {
 }
 
 TEST(Ntt, ShoupCompanionsAreFloorOfScaledTwiddle) {
-  // w_shoup = floor(w * 2^64 / p') iff w_shoup * p' <= w * 2^64 < (w_shoup+1) * p'.
+  // w_shoup = floor(w * 2^b / p') iff w_shoup * p' <= w * 2^b < (w_shoup+1) * p',
+  // for the scalar kernel's b = 64 and the IFMA kernel's b = 52.
   constexpr u64 p = NttMultiplier::kPrime;
-  const auto is_companion = [](u64 w, u64 w_shoup) {
-    const u128 scaled = static_cast<u128>(w) << 64;
+  const auto is_companion = [](u64 w, u64 w_shoup, unsigned b) {
+    const u128 scaled = static_cast<u128>(w) << b;
     const u128 lo = static_cast<u128>(w_shoup) * p;
     return w < p && lo <= scaled && scaled - lo < p;
   };
   const auto& t = ntt_tables();
   for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_TRUE(is_companion(t.zetas[i], t.zetas_shoup[i])) << "zetas " << i;
-    EXPECT_TRUE(is_companion(t.zetas_inv[i], t.zetas_inv_shoup[i])) << "zetas_inv " << i;
+    EXPECT_TRUE(is_companion(t.zetas[i], t.zetas_shoup[i], 64)) << "zetas " << i;
+    EXPECT_TRUE(is_companion(t.zetas_inv[i], t.zetas_inv_shoup[i], 64)) << "zetas_inv " << i;
+    EXPECT_TRUE(is_companion(t.zetas[i], t.zetas_shoup52[i], 52)) << "zetas " << i;
+    EXPECT_TRUE(is_companion(t.zetas_inv[i], t.zetas_inv_shoup52[i], 52)) << "zetas_inv " << i;
   }
-  EXPECT_TRUE(is_companion(t.n_inv, t.n_inv_shoup));
+  for (std::size_t e = 0; e < kNttLaneTwiddles; ++e) {
+    EXPECT_TRUE(is_companion(t.fwd_lane_zetas[e], t.fwd_lane_shoup52[e], 52)) << "fwd lane " << e;
+    EXPECT_TRUE(is_companion(t.inv_lane_zetas[e], t.inv_lane_shoup52[e], 52)) << "inv lane " << e;
+  }
+  EXPECT_TRUE(is_companion(t.n_inv, t.n_inv_shoup, 64));
+  EXPECT_TRUE(is_companion(t.n_inv, t.n_inv_shoup52, 52));
 }
 
 TEST(Ntt, OpCountsPinnedPerTransform) {
@@ -369,6 +377,65 @@ TEST(Ntt, OpCountsPinnedPerTransform) {
   ntt.inverse(v);
   EXPECT_EQ(ntt.ops().coeff_mults, 1280u);
   EXPECT_EQ(ntt.ops().coeff_adds, 2048u);
+}
+
+// On a CPU with AVX-512 IFMA, NttMultiplier runs the vector kernel of
+// mult/ntt_avx512.hpp. It must equal the scalar word-generic kernel (the body
+// the ct audit runs) bit for bit, and tally the same OpCounts, on the naive-
+// reference inputs and on random lanes mixed with the lazy-bound extremes.
+TEST(Ntt, VectorKernelMatchesScalarKernel) {
+  const auto& t = ntt_tables();
+  if (!t.ifma) GTEST_SKIP() << "CPU lacks AVX-512 F/VL/IFMA: only the scalar kernel runs";
+  constexpr u64 p = NttMultiplier::kPrime;
+  NttMultiplier ntt;
+  Xoshiro256StarStar rng(52);
+  const auto lane = [&] {
+    const u64 pick = rng.uniform(8);
+    return pick == 0 ? 0 : pick == 1 ? p - 1 : rng.uniform(p);
+  };
+  const auto reference = ntt_reference_inputs();
+  for (std::size_t r = 0; r < reference.size() + 10000; ++r) {
+    std::array<u64, kN> in{};
+    if (r < reference.size()) {
+      in = reference[r];
+    } else {
+      for (auto& x : in) x = lane();
+    }
+    auto fwd = in, fwd_ref = in, inv = in, inv_ref = in;
+    OpCounts ref_ops;
+    ntt.reset_ops();
+    ntt.forward(fwd);
+    ntt.inverse(inv);
+    ntt_forward_g<u64>(fwd_ref, t, ref_ops);
+    ntt_inverse_g<u64>(inv_ref, t, ref_ops);
+    ASSERT_EQ(fwd, fwd_ref) << "input " << r;
+    ASSERT_EQ(inv, inv_ref) << "input " << r;
+    ASSERT_EQ(ntt.ops().coeff_mults, ref_ops.coeff_mults);
+    ASSERT_EQ(ntt.ops().coeff_adds, ref_ops.coeff_adds);
+  }
+
+  // pointwise_accumulate: the edge grid over (a, b, acc), 216 lanes of the
+  // first call, then random lanes.
+  const u64 edges[] = {0, 1, (u64{1} << 41) - 1, u64{1} << 41, p - 2, p - 1};
+  for (int call = 0; call < 100; ++call) {
+    Transformed a(kN), b(kN), acc(kN);
+    for (std::size_t i = 0; i < kN; ++i) {
+      const bool grid = call == 0 && i < 216;
+      a[i] = static_cast<i64>(grid ? edges[i % 6] : lane());
+      b[i] = static_cast<i64>(grid ? edges[i / 6 % 6] : lane());
+      acc[i] = static_cast<i64>(grid ? edges[i / 36] : lane());
+    }
+    const Transformed before = acc;
+    ntt.reset_ops();
+    ntt.pointwise_accumulate(acc, a, b);
+    for (std::size_t i = 0; i < kN; ++i) {
+      const u64 prod = ntt_mulmod_g(static_cast<u64>(a[i]), static_cast<u64>(b[i]));
+      ASSERT_EQ(static_cast<u64>(acc[i]), ntt_addmod_g(static_cast<u64>(before[i]), prod))
+          << a[i] << " * " << b[i] << " + " << before[i];
+    }
+    ASSERT_EQ(ntt.ops().coeff_mults, kN);
+    ASSERT_EQ(ntt.ops().coeff_adds, kN);
+  }
 }
 
 TEST(Modmath, PowAndInverse) {
